@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import json
+
 
 class FlowQuboError(Exception):
     """Base class for every error raised by this package."""
@@ -44,3 +46,22 @@ class EnergyMismatchError(SampleFormatError):
 
 class SolverError(FlowQuboError):
     """A solver failed to run (as opposed to proving a model infeasible)."""
+
+
+# what converting a JSON document of the wrong shape raises: a missing key, a
+# list where an object belongs, a string where a number belongs
+JSON_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def read_json(path, error: type[FlowQuboError]):
+    """Parse the JSON file at ``path``.
+
+    A missing, unreadable or malformed file raises ``error``, so that every
+    loader reports bad input as a package error rather than an OS or parser
+    exception.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc

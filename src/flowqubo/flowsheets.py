@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import JSON_SHAPE_ERRORS, ModelError, read_json
 from .ip import BinaryProgram, Constraint
 from .solvers import brute_force
 
@@ -140,26 +140,29 @@ class IlDesignSpace:
         def fmap(key):
             return {str(k): float(v) for k, v in data[key].items()}
 
-        return cls(
-            reactors=tuple(data["reactors"]),
-            separators=tuple(data["separators"]),
-            cations=tuple(data["cations"]),
-            anions=tuple(data["anions"]),
-            c_fixed=fmap("c_fixed"),
-            c_oper_reactor=fmap("c_oper_reactor"),
-            c_oper_separator=fmap("c_oper_separator"),
-            c_invest=fmap("c_invest"),
-            c_energy=fmap("c_energy"),
-            alpha=fmap("alpha"),
-            beta={str(s): {str(c): {str(a): float(v) for a, v in row.items()}
-                           for c, row in by_c.items()}
-                  for s, by_c in data["beta"].items()},
-            f_lower=fmap("f_lower"),
-            f_upper=fmap("f_upper"),
-            demand=float(data["demand"]),
-            big_m=float(data.get("big_m", 100.0)),
-            provenance=str(data.get("provenance", "synthetic")),
-        )
+        try:
+            return cls(
+                reactors=tuple(data["reactors"]),
+                separators=tuple(data["separators"]),
+                cations=tuple(data["cations"]),
+                anions=tuple(data["anions"]),
+                c_fixed=fmap("c_fixed"),
+                c_oper_reactor=fmap("c_oper_reactor"),
+                c_oper_separator=fmap("c_oper_separator"),
+                c_invest=fmap("c_invest"),
+                c_energy=fmap("c_energy"),
+                alpha=fmap("alpha"),
+                beta={str(s): {str(c): {str(a): float(v) for a, v in row.items()}
+                               for c, row in by_c.items()}
+                      for s, by_c in data["beta"].items()},
+                f_lower=fmap("f_lower"),
+                f_upper=fmap("f_upper"),
+                demand=float(data["demand"]),
+                big_m=float(data.get("big_m", 100.0)),
+                provenance=str(data.get("provenance", "synthetic")),
+            )
+        except JSON_SHAPE_ERRORS as exc:
+            raise ModelError(f"malformed il design-space JSON: {exc!r}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -168,8 +171,7 @@ class IlDesignSpace:
 
     @classmethod
     def load(cls, path) -> "IlDesignSpace":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path, ModelError))
 
 
 @dataclass(frozen=True)
@@ -234,23 +236,26 @@ class DsDesignSpace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DsDesignSpace":
-        return cls(
-            flows=tuple(data["flows"]),
-            nodes=tuple(
-                DsNode(name=str(n["name"]),
-                       inflows=tuple(n["inflows"]),
-                       outflows=tuple(n["outflows"]))
-                for n in data["nodes"]
-            ),
-            costs={str(k): float(v) for k, v in data.get("costs", {}).items()},
-            source=str(data["source"]),
-            sink=str(data["sink"]),
-            configuration_flows=tuple(data["configuration_flows"]),
-            logic_rules=tuple(Constraint.from_json_dict(r)
-                              for r in data.get("logic_rules", [])),
-            units={str(k): str(v) for k, v in data.get("units", {}).items()},
-            provenance=str(data.get("provenance", "synthetic")),
-        )
+        try:
+            return cls(
+                flows=tuple(data["flows"]),
+                nodes=tuple(
+                    DsNode(name=str(n["name"]),
+                           inflows=tuple(n["inflows"]),
+                           outflows=tuple(n["outflows"]))
+                    for n in data["nodes"]
+                ),
+                costs={str(k): float(v) for k, v in data.get("costs", {}).items()},
+                source=str(data["source"]),
+                sink=str(data["sink"]),
+                configuration_flows=tuple(data["configuration_flows"]),
+                logic_rules=tuple(Constraint.from_json_dict(r)
+                                  for r in data.get("logic_rules", [])),
+                units={str(k): str(v) for k, v in data.get("units", {}).items()},
+                provenance=str(data.get("provenance", "synthetic")),
+            )
+        except JSON_SHAPE_ERRORS as exc:
+            raise ModelError(f"malformed ds design-space JSON: {exc!r}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -259,8 +264,7 @@ class DsDesignSpace:
 
     @classmethod
     def load(cls, path) -> "DsDesignSpace":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path, ModelError))
 
 
 def _load_bundled(name: str) -> dict:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionError, ModelError
+from .errors import JSON_SHAPE_ERRORS, DimensionError, ModelError, read_json
 
 __all__ = [
     "SENSES",
@@ -216,7 +216,7 @@ class BinaryProgram:
                     (str(u), str(v), float(c)) for u, v, c in obj.get("products", [])),
                 projection=tuple(data.get("projection", ())),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed program JSON: {exc}") from exc
 
     def save(self, path) -> None:
@@ -226,8 +226,7 @@ class BinaryProgram:
 
     @classmethod
     def load(cls, path) -> "BinaryProgram":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path, ModelError))
 
 
 def no_good_cut(values: Mapping[str, int], over: Sequence[str], label: str = "") -> Constraint:

@@ -44,9 +44,10 @@ _Z95 = 1.959963984540054
 def ttt(tau: float, p_target: float, s: float = 0.99) -> float:
     """Expected time to reach the target with confidence ``s``.
 
-    ``p_target == 1`` returns ``tau`` exactly (a deterministic solver needs
-    one run); ``p_target == 0`` returns infinity (the target was never
-    observed, so no finite estimate exists).
+    ``p_target >= s`` returns ``tau`` exactly (one run already reaches the
+    confidence ``s``, so a deterministic solver needs one run as well);
+    ``p_target == 0`` returns infinity (the target was never observed, so
+    no finite estimate exists).
     """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be a positive finite number, got {tau!r}")
@@ -56,7 +57,7 @@ def ttt(tau: float, p_target: float, s: float = 0.99) -> float:
         raise ValueError(f"s must lie strictly between 0 and 1, got {s!r}")
     if p_target == 0.0:
         return math.inf
-    if p_target == 1.0:
+    if p_target >= s:
         return float(tau)
     return tau * math.log(1.0 - s) / math.log(1.0 - p_target)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ModelError
+from .errors import JSON_SHAPE_ERRORS, DimensionError, ModelError, read_json
 
 __all__ = ["QuboModel", "IsingModel", "qubo_to_ising", "ising_to_qubo"]
 
@@ -150,9 +150,9 @@ class QuboModel:
             num_vars = int(data["num_vars"])
             terms = {(int(i), int(j)): float(v) for i, j, v in data["terms"]}
             offset = float(data.get("offset", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+            names = data.get("var_names")
+        except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed QUBO JSON: {exc}") from exc
-        names = data.get("var_names")
         return cls.from_terms(num_vars, terms, offset, names)
 
     def save(self, path) -> None:
@@ -162,8 +162,7 @@ class QuboModel:
 
     @classmethod
     def load(cls, path) -> "QuboModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path, ModelError))
 
 
 @dataclass(frozen=True)

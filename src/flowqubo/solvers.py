@@ -6,8 +6,9 @@ and :mod:`ip`:
 * :func:`brute_force` — exhaustive oracle, exact by construction,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule,
-* :func:`branch_and_bound` — depth-first exact search with an optimal,
-  an enumerate-all (no-good-cut loop), and a solution-pool mode.
+* :func:`branch_and_bound` — one depth-first exact search, pruned by
+  objective in optimal mode and exhaustive in the enumerate-all and
+  solution-pool modes.
 
 All of them return a :class:`SampleSet`; :func:`import_samples` ingests
 externally produced sample files in the same JSON layout.
@@ -30,8 +31,9 @@ from .errors import (
     ModelError,
     SampleFormatError,
     SolverError,
+    read_json,
 )
-from .ip import BinaryProgram, no_good_cut
+from .ip import BinaryProgram
 from .qubo import QuboModel
 
 __all__ = [
@@ -153,12 +155,7 @@ class SampleSet:
 
     @classmethod
     def load(cls, path) -> "SampleSet":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SampleFormatError(f"not valid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, SampleFormatError))
 
 
 def _parse_sample_json(data: Mapping) -> SampleSet:
@@ -515,7 +512,7 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
 
 
 class _BbState:
-    """Incremental bound bookkeeping for one (possibly cut-augmented) program.
+    """Incremental bound bookkeeping for one program.
 
     Row ``m`` (the last one) tracks the objective; rows 0..m-1 track
     constraint left-hand sides.  Each row keeps a [lo, hi] interval over all
@@ -524,7 +521,6 @@ class _BbState:
     """
 
     def __init__(self, program: BinaryProgram):
-        self.program = program
         n = program.num_vars
         index = {name: i for i, name in enumerate(program.var_names)}
         cons = program.constraints
@@ -652,123 +648,82 @@ class _BbState:
         return True
 
 
-def _bb_search(program: BinaryProgram, *, prune_objective: bool,
-               on_leaf) -> int:
-    """Shared DFS: declaration-order branching, 1-branch first.
+def _bb_search(program: BinaryProgram,
+               key_idx: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
+    """The one depth-first search: declaration-order branching, 1-branch first.
 
-    ``on_leaf(assignment, objective)`` is called for every feasible leaf and
-    returns the current incumbent objective (or None) used for pruning when
-    ``prune_objective`` is set.  Returns the number of search nodes visited.
+    Keeps the cheapest feasible completion, ties broken by the
+    lexicographically smallest assignment, per key of the variables at
+    ``key_idx``, and returns the kept ``(objective, assignment)`` pairs in
+    ascending order.  With no key variables every leaf competes for one
+    slot, so subtrees whose objective bound exceeds the best leaf so far
+    are pruned; otherwise the whole feasible tree is walked.  The walk uses
+    an explicit stack, so its depth is not bounded by the recursion limit.
     """
     state = _BbState(program)
     n = program.num_vars
-    nodes = 0
-    incumbent: list[float | None] = [None]
+    prune_objective = not key_idx
+    best: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
 
     # catches constraints that are violated before any variable is fixed,
     # including ones that reference no variables at all
     if not state.rows_consistent(range(state.obj_row)):
-        return 1
+        return []
     if n == 0:
-        incumbent[0] = on_leaf((), program.objective_constant)
-        return 1
+        return [(program.objective_constant, ())]
 
-    def dfs(depth: int) -> None:
-        nonlocal nodes
-        for value in (1, 0):
-            nodes += 1
-            journal, touched = state.assign(depth, value)
-            ok = state.rows_consistent(touched)
-            if ok and prune_objective and incumbent[0] is not None:
-                if state.lo[state.obj_row] > incumbent[0]:
-                    ok = False
-            if ok:
-                if depth + 1 == n:
-                    # every row was re-checked when its last variable was
-                    # fixed, so the leaf is feasible by construction
-                    bits = tuple(state.values)
-                    incumbent[0] = on_leaf(bits, state.leaf_objective(bits))
-                else:
-                    dfs(depth + 1)
-            state.undo(depth, journal)
+    stack = [(0, 0), (0, 1)]  # (variable, value); the top is visited first
+    journals: list = []       # journals[i] undoes the fix of variable i
+    while stack:
+        depth, value = stack.pop()
+        while len(journals) > depth:
+            state.undo(len(journals) - 1, journals.pop())
+        journal, touched = state.assign(depth, value)
+        journals.append(journal)
+        if not state.rows_consistent(touched):
+            continue
+        if prune_objective and best and state.lo[state.obj_row] > best[()][0]:
+            continue
+        if depth + 1 == n:
+            # every row was re-checked when its last variable was fixed,
+            # so the leaf is feasible by construction
+            bits = tuple(state.values)
+            found = (state.leaf_objective(bits), bits)
+            key = tuple(bits[i] for i in key_idx)
+            if key not in best or found < best[key]:
+                best[key] = found
+        else:
+            stack += ((depth + 1, 0), (depth + 1, 1))
+    return sorted(best.values())
 
-    dfs(0)
-    return nodes
 
-
-def _solve_optimal(program: BinaryProgram) -> tuple[tuple[int, ...], float] | None:
-    best: list = [None, None]  # objective, assignment
-
-    def on_leaf(bits, obj):
-        if best[0] is None or obj < best[0] or (obj == best[0] and bits < best[1]):
-            best[0], best[1] = obj, bits
-        return best[0]
-
-    _bb_search(program, prune_objective=True, on_leaf=on_leaf)
-    if best[0] is None:
-        return None
-    return best[1], best[0]
+_BB_SOLVERS = {"optimal": "bb", "enumerate_all": "bb-enumerate", "pool": "bb-pool"}
 
 
 def branch_and_bound(program: BinaryProgram, mode: str = "optimal", *,
                      pool_size: int | None = None) -> SampleSet:
     """Exact depth-first search over a BinaryProgram.
 
-    Modes: ``optimal`` returns one provably optimal assignment;
-    ``enumerate_all`` repeats solve + no-good cut over the projection until
-    infeasible, yielding every projected-distinct feasible solution in
-    objective order; ``pool`` runs one exhaustive DFS (no objective pruning,
-    no cuts) and keeps the ``pool_size`` best projected-distinct solutions.
-    Ties always resolve to the lexicographically smallest assignment.
+    All modes run the same search.  ``optimal`` prunes it by objective and
+    returns one provably optimal assignment.  ``enumerate_all`` walks the
+    whole feasible tree and returns the cheapest completion of every
+    projected-distinct feasible solution, in objective order; ``pool``
+    does the same and keeps the ``pool_size`` best.  Ties always resolve
+    to the lexicographically smallest assignment.
     """
     t0 = time.perf_counter()
+    if mode not in _BB_SOLVERS:
+        raise ValueError(f"unknown branch-and-bound mode {mode!r}")
+    if mode == "pool" and (pool_size is None or pool_size < 1):
+        raise ValueError("pool mode needs pool_size >= 1")
     if mode == "optimal":
-        hit = _solve_optimal(program)
-        records = []
-        if hit is not None:
-            bits, obj = hit
-            records.append(SampleRecord(assignment=bits, energy=obj,
-                                        objective=obj, feasible=True))
-        return SampleSet.build(records, "bb", tau=time.perf_counter() - t0,
-                               status="ok" if records else "infeasible")
-
-    if mode == "enumerate_all":
+        found = _bb_search(program, ())
+    else:
         over = program.projection or program.var_names
-        records = []
-        current = program
-        while True:
-            hit = _solve_optimal(current)
-            if hit is None:
-                break
-            bits, obj = hit
-            records.append(SampleRecord(assignment=bits, energy=obj,
-                                        objective=obj, feasible=True))
-            values = dict(zip(program.var_names, bits))
-            current = current.with_constraints([no_good_cut(values, over)])
-        return SampleSet.build(records, "bb-enumerate", tau=time.perf_counter() - t0,
-                               status="ok" if records else "infeasible")
-
-    if mode == "pool":
-        if pool_size is None or pool_size < 1:
-            raise ValueError("pool mode needs pool_size >= 1")
-        proj_names = program.projection or program.var_names
-        proj_idx = [program.index(name) for name in proj_names]
-        pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
-
-        def on_leaf(bits, obj):
-            key = tuple(bits[i] for i in proj_idx)
-            prev = pool.get(key)
-            if prev is None or (obj, bits) < prev:
-                pool[key] = (obj, bits)
-            return None
-
-        _bb_search(program, prune_objective=False, on_leaf=on_leaf)
-        ranked = sorted(pool.values())[:pool_size]
-        records = [
-            SampleRecord(assignment=bits, energy=obj, objective=obj, feasible=True)
-            for obj, bits in ranked
-        ]
-        return SampleSet.build(records, "bb-pool", tau=time.perf_counter() - t0,
-                               status="ok" if records else "infeasible")
-
-    raise ValueError(f"unknown branch-and-bound mode {mode!r}")
+        found = _bb_search(program, [program.index(name) for name in over])
+        if mode == "pool":
+            found = found[:pool_size]
+    records = [SampleRecord(assignment=bits, energy=obj, objective=obj, feasible=True)
+               for obj, bits in found]
+    return SampleSet.build(records, _BB_SOLVERS[mode], tau=time.perf_counter() - t0,
+                           status="ok" if records else "infeasible")

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from flowqubo import BinaryProgram, Constraint, IlDesignSpace, QuboModel, SampleSet
+from flowqubo import (
+    BinaryProgram,
+    Constraint,
+    IlDesignSpace,
+    QuboModel,
+    SampleSet,
+    load_default_ds_space,
+    load_default_il_space,
+)
 from flowqubo.cli import main
 
 
@@ -241,3 +249,29 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWQUBO_OUT_DIR", str(target))
     assert main(["solve", "--case", "ds", "--solver", "bb"]) == 0
     assert (target / "samples.json").exists()
+
+
+def _space_without(space, key):
+    data = space.to_json_dict()
+    del data[key]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["solve", "--case", "custom", "--solver", "oracle", "--model"], "{not json"),
+    (["solve", "--case", "custom", "--solver", "oracle", "--model"], None),
+    (["build", "--case", "il", "--params"],
+     _space_without(load_default_il_space(), "separators")),
+    (["build", "--case", "ds", "--params"],
+     _space_without(load_default_ds_space(), "flows")),
+    (["report", "--samples"], None),
+], ids=["malformed-model", "missing-model", "il-missing-key", "ds-missing-key",
+        "missing-samples"])
+def test_bad_input_files_exit_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -37,6 +37,15 @@ def test_ttt_frozen_values():
     assert ttt(0.34, 0.012) == pytest.approx(129.6953677802878, abs=1e-10)
 
 
+def test_ttt_is_at_least_tau_and_non_increasing_in_p():
+    ps = [k / 1000 for k in range(1, 1001)]
+    for s in (0.5, 0.9, 0.99):
+        values = [ttt(1.0, p, s) for p in ps]
+        assert min(values) >= 1.0
+        assert all(a >= b for a, b in zip(values, values[1:]))
+    assert ttt(1.0, 0.999, 0.99) == 1.0
+
+
 def test_ttt_zero_probability_is_infinite():
     assert math.isinf(ttt(1.0, 0.0))
 

@@ -21,6 +21,7 @@ from flowqubo import (
     brute_force,
     derived_beta_schedule,
     import_samples,
+    no_good_cut,
     simulated_annealing,
 )
 
@@ -337,8 +338,34 @@ def solvable_programs(draw):
             slack = draw(st.integers(min_value=0, max_value=2))
             rhs = lhs if sense == "=" else (lhs + slack if sense == "<=" else lhs - slack)
             cons.append(Constraint(lin, sense, float(rhs), label=f"c{ci}"))
+    projection = draw(st.lists(st.sampled_from(names), unique=True))
+    obj_products = ()
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(st.sampled_from(
+            [(a, b) for a in range(n) for b in range(a + 1, n)]))
+        obj_products = ((names[u], names[v], float(draw(coeff))),)
     return BinaryProgram(var_names=names, objective=objective,
-                         constraints=tuple(cons))
+                         constraints=tuple(cons), objective_products=obj_products,
+                         projection=tuple(projection))
+
+
+def _cut_loop_reference(prog):
+    """Enumerate by re-solving with one more canonical no-good cut each time.
+
+    Each solve returns the optimum over the configurations not yet cut off
+    (Balas & Jeroslow, SIAM J. Appl. Math. 23, 1972), so the records come out
+    in (objective, assignment) order, one per projected configuration.
+    """
+    over = prog.projection or prog.var_names
+    records = []
+    current = prog
+    while True:
+        best = branch_and_bound(current, "optimal").best()
+        if best is None:
+            return records
+        records.append(best)
+        values = dict(zip(prog.var_names, best.assignment))
+        current = current.with_constraints([no_good_cut(values, over)])
 
 
 @given(solvable_programs())
@@ -352,3 +379,34 @@ def test_bb_agrees_with_oracle_on_random_programs(prog):
     enum = branch_and_bound(prog, "enumerate_all")
     assert [r.assignment for r in enum.records] == \
         [r.assignment for r in oracle.records]
+
+
+@given(solvable_programs())
+@settings(max_examples=100, deadline=None)
+def test_bb_exhaustive_modes_match_cut_loop_reference(prog):
+    reference = [(r.assignment, r.objective) for r in _cut_loop_reference(prog)]
+    enum = branch_and_bound(prog, "enumerate_all")
+    pool = branch_and_bound(prog, "pool", pool_size=2 ** prog.num_vars)
+    assert [(r.assignment, r.objective) for r in enum.records] == reference
+    assert [(r.assignment, r.objective) for r in pool.records] == reference
+
+
+def test_bb_search_depth_is_not_bounded_by_recursion():
+    # one variable per level: far deeper than Python's default recursion limit
+    names = tuple(f"x{i}" for i in range(2000))
+    free = BinaryProgram(var_names=names, objective={name: -1.0 for name in names})
+    pinned = free.with_constraints(
+        Constraint({name: 1.0}, "=", 1.0, label=name) for name in names)
+    runs = (branch_and_bound(free, "optimal"),
+            branch_and_bound(pinned, "enumerate_all"),
+            branch_and_bound(pinned, "pool", pool_size=1))
+    for ss in runs:
+        assert [(r.assignment, r.objective) for r in ss.records] == \
+            [((1,) * len(names), -2000.0)]
+
+
+def test_bb_modes_agree_on_zero_variable_program():
+    prog = BinaryProgram(var_names=(), objective={}, objective_constant=2.5)
+    for mode in ("optimal", "enumerate_all", "pool"):
+        ss = branch_and_bound(prog, mode, pool_size=1)
+        assert [(r.assignment, r.objective) for r in ss.records] == [((), 2.5)]
