@@ -49,8 +49,9 @@ class SolverError(FlowQuboError):
 
 
 # what converting a JSON document of the wrong shape raises: a missing key, a
-# list where an object belongs, a string where a number belongs
-JSON_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+# list where an object belongs, a string where a number belongs, an integer
+# too large for a float
+JSON_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def read_json(path, error: type[FlowQuboError]):

@@ -11,6 +11,11 @@ the feasible optima of the source program.
 the source assignments and minimizes the penalty energy over slack and
 auxiliary completions in closed form, so models whose QUBO exceeds the usual
 exhaustive bound are still checkable as long as the source space is small.
+The scan runs on the oracle's survivor-filtered code kernel: a first pass
+completes only the feasible assignments, and a second drops every
+assignment whose objective plus product-free row penalties, a lower bound on
+its completion energy, already exceeds what a dominance failure or the QUBO
+minimum can reach.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from .qubo import QuboModel
 from .solvers import (
     SampleRecord,
     SampleSet,
-    _assignment_blocks,
     _bits_of,
+    _code_chunks,
+    _feasible_codes,
+    _linear_form,
     _program_tables,
 )
 
@@ -387,7 +394,8 @@ class _ScanTables:
                 key = (min(iu, iv), max(iu, iv))
                 pair_coeffs[key] = pair_coeffs.get(key, 0.0) + q
             self.rows.append({
-                "rhs": con.rhs,
+                # lhs - rhs of the linear part, before slack and auxiliaries
+                "residual": _linear_form(norm_program, con.linear, const=-con.rhs),
                 "sense": con.sense,
                 "weight": reform.constraint_weight(con.label),
                 "max_slack": (1 << len(group.indices)) - 1,
@@ -422,56 +430,89 @@ class _ScanTables:
                        if row["pair_pos"] and
                        {p for p, _ in row["pair_pos"]} & member_set]
             self.components.append((members, row_ids))
-        self.simple_rows = [ci for ci, row in enumerate(self.rows)
-                            if not row["pair_pos"]]
-        self.aux_index = reform.aux_products
+        # equality rows first, as in the feasibility scan: they prune most
+        self.simple_rows = sorted(
+            (ci for ci, row in enumerate(self.rows) if not row["pair_pos"]),
+            key=lambda ci: self.rows[ci]["sense"] != "=")
         self.rho = reform.rho
 
-        # sense-grouped arrays: feasibility tests cover every row, the
-        # closed-form slack penalties only the rows without products
-        def grouped(row_ids, sense):
-            ids = [ci for ci in row_ids if self.rows[ci]["sense"] == sense]
-            return (
-                np.array(ids, dtype=np.intp),
-                np.array([self.rows[ci]["rhs"] for ci in ids]),
-                np.array([self.rows[ci]["weight"] for ci in ids]),
-                np.array([float(self.rows[ci]["max_slack"]) for ci in ids]),
-            )
 
-        every = range(len(self.rows))
-        self.mask_groups = {s: grouped(every, s)[:2] for s in ("=", "<=", ">=")}
-        self.pen_groups = {s: grouped(self.simple_rows, s)
-                           for s in ("=", "<=", ">=")}
-
-
-def _row_penalty(row, residual: np.ndarray) -> np.ndarray:
-    """Penalty of one row after closed-form slack minimization.
+def _row_penalty(row, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Penalty of one row after closed-form slack minimization, and the slack.
 
     ``residual`` is lhs - rhs before slack.  Integer coefficients make the
     optimal slack value unique, so np.rint never sits on a tie.
     """
     if row["sense"] == "=":
-        return row["weight"] * np.square(residual)
-    max_slack = row["max_slack"]
+        return row["weight"] * np.square(residual), np.zeros_like(residual)
+    max_slack = float(row["max_slack"])
     if row["sense"] == "<=":
-        slack = np.clip(np.rint(-residual), 0.0, float(max_slack))
-        return row["weight"] * np.square(residual + slack)
-    slack = np.clip(np.rint(residual), 0.0, float(max_slack))
-    return row["weight"] * np.square(residual - slack)
+        slack = np.clip(np.rint(-residual), 0.0, max_slack)
+        return row["weight"] * np.square(residual + slack), slack
+    slack = np.clip(np.rint(residual), 0.0, max_slack)
+    return row["weight"] * np.square(residual - slack), slack
 
 
-def _row_penalty_scalar(row, residual: float) -> tuple[float, int]:
-    if row["sense"] == "=":
-        return row["weight"] * residual * residual, 0
-    max_slack = row["max_slack"]
-    if row["sense"] == "<=":
-        slack = int(min(max(round(-residual), 0), max_slack))
-        return row["weight"] * (residual + slack) ** 2, slack
-    slack = int(min(max(round(residual), 0), max_slack))
-    return row["weight"] * (residual - slack) ** 2, slack
+def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
+    """Lowest gadget-plus-row energy of one auxiliary component, per code.
+
+    ``bits`` maps a source variable to its 0/1 values and ``residual`` a row
+    to its residuals, both over the same codes.  Settings are tried in
+    lexicographic order and only a strict improvement replaces the
+    incumbent, so ties resolve to the lexicographically smallest setting.
+    Returns the minima and the index of the setting attaining each.
+    """
+    best = choice = None
+    for idx, w_tuple in enumerate(itertools.product((0, 1), repeat=len(members))):
+        acc = 0.0
+        for w, p in zip(w_tuple, members):
+            i, j = scan.pairs[p]
+            acc = acc + scan.rho * rosenberg_penalty(bits[i], bits[j], w)
+        w_at = dict(zip(members, w_tuple))
+        for ci in row_ids:
+            row = scan.rows[ci]
+            shift = sum(q * w_at[p] for p, q in row["pair_pos"])
+            acc = acc + _row_penalty(row, residual[ci] + shift)[0]
+        if best is None:
+            best, choice = acc, np.zeros(np.shape(acc), dtype=np.int64)
+        else:
+            better = acc < best
+            best = np.where(better, acc, best)
+            choice[better] = idx
+    return best, choice
 
 
-_CANDIDATE_CAP = 4096
+def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np.inf):
+    """Minimal completion energies of the ``codes`` not pruned by ``bound``.
+
+    The energy is summed in one fixed order: the closed-form penalties of
+    the product-free rows, then the objective, then the component minima.
+    Every penalty is >= 0 and the objective is at least its floor, so the
+    penalties summed so far plus that floor never exceed the final energy,
+    rounding included.  A code is dropped as soon as that lower bound
+    exceeds ``bound``.  Returns the kept codes, their objectives and their
+    energies.
+    """
+    floor = scan.tables.objective.floor()
+    energy = np.zeros(codes.shape)
+    for ci in scan.simple_rows:
+        if not codes.size:
+            break
+        row = scan.rows[ci]
+        energy = energy + _row_penalty(row, row["residual"].values(codes))[0]
+        keep = energy + floor <= bound
+        codes, energy = codes[keep], energy[keep]
+    obj = scan.tables.objective.values(codes)
+    energy = energy + obj
+    if codes.size:
+        n = scan.n
+        bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
+        residual = {ci: scan.rows[ci]["residual"].values(codes)
+                    for _, row_ids in scan.components for ci in row_ids}
+        for members, row_ids in scan.components:
+            energy = energy + _component_minimum(scan, members, row_ids, bits,
+                                                 residual)[0]
+    return codes, obj, energy
 
 
 def verify(
@@ -484,12 +525,24 @@ def verify(
 ) -> VerificationReport:
     """Exhaustively certify exactness and penalty dominance.
 
-    Scans all source assignments; for each one the slack bits are optimized
-    in closed form and the auxiliaries by enumeration over their coupling
-    components, which reproduces the exact QUBO minimum over completions.
-    Exactness failures are feasible assignments whose minimal completion
-    energy differs from the objective; dominance failures are infeasible
-    assignments whose completion energy does not exceed the feasible optimum.
+    For each source assignment the slack bits are optimized in closed form
+    and the auxiliaries by enumeration over their coupling components, which
+    reproduces the exact QUBO minimum over completions.  Exactness failures
+    are feasible assignments whose minimal completion energy differs from
+    the objective; dominance failures are infeasible assignments whose
+    completion energy does not exceed the feasible optimum.
+
+    The scan makes two survivor-filtered passes over the integer codes of
+    the source assignments.  The first keeps the feasible codes, row by row
+    as in :func:`~flowqubo.solvers.brute_force`, and completes only those.
+    That fixes ``T``, the larger of the feasible optimum plus ``tol`` and
+    the lowest feasible completion energy: no code above ``T`` can be a
+    dominance failure or the QUBO argmin.  The second pass drops every code
+    whose objective plus the closed-form penalties of its product-free rows
+    already exceeds ``T``, a valid lower bound since the gadget and row
+    penalties are >= 0, and enumerates auxiliaries only on the rest.  With
+    no feasible code ``T`` is infinite and the second pass completes every
+    code, one chunk at a time.
     """
     scan = _ScanTables(reform)
     n = scan.n
@@ -501,122 +554,53 @@ def verify(
             raise ExhaustiveLimitError(
                 f"auxiliary component of size {len(members)} exceeds the "
                 f"bound of {group_limit}")
+    energy_tol = max(1e-6, 10 * tol)
 
-    tables = scan.tables
-    m = len(scan.rows)
     feasible_count = 0
     feasible_opt = np.inf
+    feasible_min_energy = np.inf
+    exactness = []
+    for codes in _code_chunks(n):
+        codes = _feasible_codes(scan.tables, codes, tol)
+        if not codes.size:
+            continue
+        _, obj, energy = _completion_energies(scan, codes)
+        feasible_count += codes.size
+        feasible_opt = min(feasible_opt, float(obj.min()))
+        feasible_min_energy = min(feasible_min_energy, float(energy.min()))
+        for local in np.nonzero(np.abs(energy - obj) > tol)[0]:
+            if len(exactness) >= max_failures:
+                break
+            exactness.append((_bits_of(int(codes[local]), n), float(energy[local]),
+                              float(obj[local])))
+
+    threshold = max(feasible_opt + tol, feasible_min_energy)
     best_energy = np.inf
     best_k = 0
-    exactness = []
-    cand_k: list[int] = []
-    cand_e: list[float] = []
-
-    for start, X in _assignment_blocks(n):
-        rows_count = X.shape[0]
-        lin = X @ tables.A.T if m else np.zeros((rows_count, 0))
-        pair_vals = [X[:, i] * X[:, j] for i, j in scan.pairs]
-
-        lhs = lin
-        if scan.pairs:
-            lhs = lin.copy()
-            for ci, row in enumerate(scan.rows):
-                for p, q in row["pair_pos"]:
-                    lhs[:, ci] += q * pair_vals[p]
-        mask = np.ones(rows_count, dtype=bool)
-        ids, rhs = scan.mask_groups["="]
-        if ids.size:
-            mask &= (np.abs(lhs[:, ids] - rhs) <= tol).all(axis=1)
-        ids, rhs = scan.mask_groups["<="]
-        if ids.size:
-            mask &= (lhs[:, ids] <= rhs + tol).all(axis=1)
-        ids, rhs = scan.mask_groups[">="]
-        if ids.size:
-            mask &= (lhs[:, ids] >= rhs - tol).all(axis=1)
-
-        obj = X @ tables.c + tables.const
-        for u, v, q in tables.obj_prods:
-            obj += q * X[:, u] * X[:, v]
-
-        energy = obj.copy()
-        ids, rhs, weight, _ = scan.pen_groups["="]
-        if ids.size:
-            energy += np.square(lin[:, ids] - rhs) @ weight
-        ids, rhs, weight, max_slack = scan.pen_groups["<="]
-        if ids.size:
-            resid = lin[:, ids] - rhs
-            slack = np.clip(np.rint(-resid), 0.0, max_slack)
-            energy += np.square(resid + slack) @ weight
-        ids, rhs, weight, max_slack = scan.pen_groups[">="]
-        if ids.size:
-            resid = lin[:, ids] - rhs
-            slack = np.clip(np.rint(resid), 0.0, max_slack)
-            energy += np.square(resid - slack) @ weight
-        for members, row_ids in scan.components:
-            best = None
-            for w_tuple in itertools.product((0, 1), repeat=len(members)):
-                acc = np.zeros(rows_count)
-                for w, p in zip(w_tuple, members):
-                    i, j = scan.pairs[p]
-                    if w:
-                        acc += scan.rho * (pair_vals[p] - 2.0 * X[:, i]
-                                           - 2.0 * X[:, j] + 3.0)
-                    else:
-                        acc += scan.rho * pair_vals[p]
-                w_at = dict(zip(members, w_tuple))
-                for ci in row_ids:
-                    row = scan.rows[ci]
-                    shift = sum(q * w_at[p] for p, q in row["pair_pos"])
-                    acc += _row_penalty(row, lin[:, ci] - row["rhs"] + shift)
-                best = acc if best is None else np.minimum(best, acc)
-            if best is not None:
-                energy += best
-
-        if mask.any():
-            feasible_count += int(mask.sum())
-            feasible_opt = min(feasible_opt, float(obj[mask].min()))
-            for local in np.nonzero(mask & (np.abs(energy - obj) > tol))[0]:
-                if len(exactness) >= max_failures:
-                    break
-                k = start + int(local)
-                exactness.append((_bits_of(k, n), float(energy[local]),
-                                  float(obj[local])))
-        # keep cheap infeasible completions as dominance candidates; the
-        # running feasible optimum only shrinks, so this set is a superset
-        # of the final failures and capping it by lowest energy is safe
-        bound = feasible_opt + tol if np.isfinite(feasible_opt) else np.inf
-        q_idx = np.nonzero((~mask) & (energy <= bound))[0]
-        if q_idx.size > _CANDIDATE_CAP:
-            part = np.argpartition(energy[q_idx], _CANDIDATE_CAP)[:_CANDIDATE_CAP]
-            q_idx = q_idx[part]
-        if q_idx.size:
-            cand_k.extend((start + q_idx).tolist())
-            cand_e.extend(energy[q_idx].tolist())
-        if len(cand_k) > _CANDIDATE_CAP:
-            order = np.argsort(np.array(cand_e), kind="stable")[:_CANDIDATE_CAP]
-            cand_k = [cand_k[i] for i in order]
-            cand_e = [cand_e[i] for i in order]
-
+    dominance: list[tuple[float, int]] = []
+    for codes in _code_chunks(n):
+        codes, _, energy = _completion_energies(scan, codes, threshold + energy_tol)
+        if not codes.size:
+            continue
         chunk_best = int(np.argmin(energy))
         if float(energy[chunk_best]) < best_energy:
             best_energy = float(energy[chunk_best])
-            best_k = start + chunk_best
+            best_k = int(codes[chunk_best])
+        if feasible_count:
+            infeasible = ~np.isin(codes, _feasible_codes(scan.tables, codes, tol))
+            flagged = infeasible & (energy <= feasible_opt + tol)
+            dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
+                                                    codes[flagged].tolist())))
+            del dominance[max_failures:]
 
-    dominance = []
-    if feasible_count:
-        flagged = sorted(
-            (e, k) for k, e in zip(cand_k, cand_e) if e <= feasible_opt + tol)
-        for e, k in flagged[:max_failures]:
-            dominance.append((_bits_of(k, n), e))
-
-    source_bits = _bits_of(best_k, n)
-    full_bits = _complete_assignment(reform, scan, source_bits)
+    full_bits = _complete_assignment(reform, scan, best_k)
     recomputed = reform.qubo.energy(full_bits)
-    if abs(recomputed - best_energy) > max(1e-6, 10 * tol):
+    if abs(recomputed - best_energy) > energy_tol:
         raise ReformulationError(
             f"internal completion mismatch: scan energy {best_energy}, "
             f"direct energy {recomputed}")
 
+    source_bits = full_bits[:n]
     return VerificationReport(
         passed=not exactness and not dominance,
         num_source_assignments=1 << n,
@@ -627,42 +611,28 @@ def verify(
         argmin_objective=reform.source.objective_value(source_bits),
         argmin_feasible=reform.source.is_feasible(source_bits),
         exactness_failures=tuple(exactness),
-        dominance_failures=tuple(dominance),
+        dominance_failures=tuple((_bits_of(k, n), e) for e, k in dominance),
         rho=reform.rho,
     )
 
 
 def _complete_assignment(reform: Reformulation, scan: _ScanTables,
-                         source_bits: tuple[int, ...]) -> tuple[int, ...]:
-    """Energy-minimal slack and auxiliary completion of one source assignment.
+                         code: int) -> tuple[int, ...]:
+    """Energy-minimal slack and auxiliary completion of one source code.
 
-    Components are enumerated in lexicographic auxiliary order and only a
-    strict improvement replaces the incumbent, so ties resolve to the
-    lexicographically smallest completion.
+    The same vector routines as the scan run on a single code, so the
+    auxiliaries are the lexicographically smallest minimizing setting.
     """
-    full = list(source_bits) + [0] * (reform.qubo.num_vars - scan.n)
-    tables = scan.tables
-    x = np.asarray(source_bits, dtype=float)
-    lin = tables.A @ x if scan.rows else np.zeros(0)
+    n = scan.n
+    codes = np.array([code], dtype=np.int64)
+    full = list(_bits_of(code, n)) + [0] * (reform.qubo.num_vars - n)
+    bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
+    residual = [row["residual"].values(codes) for row in scan.rows]
 
     w_chosen = {}
     for members, row_ids in scan.components:
-        best = None
-        for w_tuple in itertools.product((0, 1), repeat=len(members)):
-            acc = 0.0
-            for w, p in zip(w_tuple, members):
-                i, j = scan.pairs[p]
-                acc += scan.rho * rosenberg_penalty(source_bits[i],
-                                                    source_bits[j], w)
-            w_at = dict(zip(members, w_tuple))
-            for ci in row_ids:
-                row = scan.rows[ci]
-                shift = sum(q * w_at[p] for p, q in row["pair_pos"])
-                pen, _ = _row_penalty_scalar(row, float(lin[ci]) - row["rhs"] + shift)
-                acc += pen
-            if best is None or acc < best[0]:
-                best = (acc, w_tuple)
-        for w, p in zip(best[1], members):
+        _, choice = _component_minimum(scan, members, row_ids, bits, residual)
+        for w, p in zip(_bits_of(int(choice[0]), len(members)), members):
             w_chosen[p] = w
             full[reform.aux_products[scan.pairs[p]]] = w
 
@@ -670,7 +640,7 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
         if not row["slack_indices"]:
             continue
         shift = sum(q * w_chosen[p] for p, q in row["pair_pos"])
-        _, slack = _row_penalty_scalar(row, float(lin[ci]) - row["rhs"] + shift)
+        slack = int(_row_penalty(row, residual[ci] + shift)[1][0])
         for k, idx in enumerate(row["slack_indices"]):
             full[idx] = (slack >> k) & 1
     return tuple(full)

@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowqubo import (
     BinaryProgram,
     Constraint,
     IlDesignSpace,
     QuboModel,
+    SampleRecord,
     SampleSet,
     load_default_ds_space,
     load_default_il_space,
@@ -273,5 +281,99 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv, content):
         path.write_text(content)
     assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# input files the CLI reads, each with its command and the top-level keys
+# its loader cannot do without
+_INPUTS = {
+    "model": (["solve", "--case", "custom", "--solver", "bb", "--model"],
+              BinaryProgram(var_names=("a", "b"), objective={"a": 1.0, "b": 2.0},
+                            constraints=(Constraint({"a": 1.0, "b": 1.0}, ">=", 1.0),),
+                            ).to_json_dict(),
+              ("var_names",)),
+    "il-params": (["build", "--case", "il", "--params"],
+                  load_default_il_space().to_json_dict(),
+                  ("reactors", "separators", "cations", "anions", "c_fixed",
+                   "c_oper_reactor", "c_oper_separator", "c_invest", "c_energy",
+                   "alpha", "beta", "f_lower", "f_upper", "demand")),
+    "ds-params": (["build", "--case", "ds", "--params"],
+                  load_default_ds_space().to_json_dict(),
+                  ("flows", "nodes", "source", "sink", "configuration_flows")),
+    "samples": (["report", "--samples"],
+                SampleSet.build([SampleRecord((0, 1), 2.0, objective=2.0, feasible=True),
+                                 SampleRecord((1, 1), 3.5, occurrences=2)],
+                                "sa", seed=4).to_json_dict(),
+                ("solver", "records")),
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+def _float_leaves(value, path=()):
+    """Paths to every float in a JSON document."""
+    if isinstance(value, float):
+        return [path]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [leaf for key, item in items for leaf in _float_leaves(item, path + (key,))]
+
+
+@st.composite
+def malformed_bodies(draw, doc, required):
+    """The text of a document that no loader may accept."""
+    kind = draw(st.sampled_from(
+        ("truncated", "not-an-object", "missing-key", "null-key", "float-overflow")))
+    if kind == "truncated":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "not-an-object":
+        return json.dumps(draw(_json_values.filter(lambda v: not isinstance(v, dict))))
+    doc = copy.deepcopy(doc)
+    if kind == "float-overflow":
+        # a valid JSON number that no float can hold
+        *parents, last = draw(st.sampled_from(_float_leaves(doc)))
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = draw(st.integers(min_value=2 ** 1024, max_value=10 ** 400))
+        return json.dumps(doc)
+    key = draw(st.sampled_from(required))
+    if kind == "missing-key":
+        del doc[key]
+    else:
+        doc[key] = None
+    return json.dumps(doc)
+
+
+@st.composite
+def bad_input_files(draw):
+    name = draw(st.sampled_from(sorted(_INPUTS)))
+    argv, doc, required = _INPUTS[name]
+    return argv, draw(malformed_bodies(doc, required))
+
+
+@given(bad_input_files())
+@settings(max_examples=200, deadline=None)
+def test_malformed_input_files_exit_2(case):
+    argv, body = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(body, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + [str(path), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    err = err.getvalue()
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solvers import solvable_programs
 
 from flowqubo import (
     BinaryProgram,
@@ -10,6 +13,7 @@ from flowqubo import (
     DimensionError,
     ExhaustiveLimitError,
     ReformulationError,
+    VerificationReport,
     brute_force,
     default_penalty,
     reformulate,
@@ -278,3 +282,228 @@ def test_reformulation_recovers_planted_optimum(prog):
     assert decoded.feasible
     assert decoded.objective == pytest.approx(best.objective, abs=1e-9)
     assert qubo_oracle.best().energy == pytest.approx(best.objective, abs=1e-9)
+
+
+# -- verify against the dense scan it replaced ----------------------------------
+
+
+def _reference_verify(reform, tol=1e-9, max_failures=20):
+    """``verify`` as it was before the survivor-filtered scan.
+
+    One float 0/1 matrix holds every source assignment.  Every row is
+    evaluated on every assignment, the product-free rows' slack penalties
+    in closed form by sense group, the auxiliary components by enumeration,
+    and the completion of the argmin with the scalar slack routine.
+    """
+    program = reform.source
+    n = program.num_vars
+    index = {name: i for i, name in enumerate(program.var_names)}
+    pairs = sorted(reform.aux_products)
+    pair_pos = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    A = np.zeros((len(reform.normalized), n))
+    for ci, con in enumerate(reform.normalized):
+        for name, coeff in con.linear.items():
+            A[ci, index[name]] += coeff
+        group = reform.slack_groups[ci]
+        pair_coeffs = {}
+        for u, v, q in con.products:
+            key = (min(index[u], index[v]), max(index[u], index[v]))
+            pair_coeffs[key] = pair_coeffs.get(key, 0.0) + q
+        rows.append({
+            "rhs": con.rhs, "sense": con.sense,
+            "weight": reform.constraint_weight(con.label),
+            "max_slack": (1 << len(group.indices)) - 1,
+            "slack_indices": group.indices,
+            "pair_pos": [(pair_pos[key], q) for key, q in pair_coeffs.items() if q != 0.0],
+        })
+    parent = list(range(len(pairs)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for row in rows:
+        positions = [p for p, _ in row["pair_pos"]]
+        for other in positions[1:]:
+            ra, rb = find(positions[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    comp_pairs = {}
+    for p in range(len(pairs)):
+        comp_pairs.setdefault(find(p), []).append(p)
+    components = []
+    for _, members in sorted(comp_pairs.items()):
+        member_set = set(members)
+        row_ids = [ci for ci, row in enumerate(rows) if row["pair_pos"]
+                   and {p for p, _ in row["pair_pos"]} & member_set]
+        components.append((sorted(members), row_ids))
+    simple = [ci for ci, row in enumerate(rows) if not row["pair_pos"]]
+
+    def row_penalty(row, residual):
+        if row["sense"] == "=":
+            return row["weight"] * np.square(residual)
+        if row["sense"] == "<=":
+            slack = np.clip(np.rint(-residual), 0.0, float(row["max_slack"]))
+            return row["weight"] * np.square(residual + slack)
+        slack = np.clip(np.rint(residual), 0.0, float(row["max_slack"]))
+        return row["weight"] * np.square(residual - slack)
+
+    def row_penalty_scalar(row, residual):
+        if row["sense"] == "=":
+            return row["weight"] * residual * residual, 0
+        if row["sense"] == "<=":
+            slack = int(min(max(round(-residual), 0), row["max_slack"]))
+            return row["weight"] * (residual + slack) ** 2, slack
+        slack = int(min(max(round(residual), 0), row["max_slack"]))
+        return row["weight"] * (residual - slack) ** 2, slack
+
+    ks = np.arange(1 << n, dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = ((ks[None, :] >> shifts[:, None]) & 1).astype(np.float64).T
+    lin = X @ A.T
+    pair_vals = [X[:, i] * X[:, j] for i, j in pairs]
+    lhs = lin.copy()
+    for ci, row in enumerate(rows):
+        for p, q in row["pair_pos"]:
+            lhs[:, ci] += q * pair_vals[p]
+    mask = np.ones(len(ks), dtype=bool)
+    for ci, row in enumerate(rows):
+        if row["sense"] == "=":
+            mask &= np.abs(lhs[:, ci] - row["rhs"]) <= tol
+        elif row["sense"] == "<=":
+            mask &= lhs[:, ci] <= row["rhs"] + tol
+        else:
+            mask &= lhs[:, ci] >= row["rhs"] - tol
+    obj = X @ np.array([program.objective.get(name, 0.0) for name in program.var_names])
+    obj = obj + program.objective_constant
+    for u, v, q in program.objective_products:
+        obj += q * X[:, index[u]] * X[:, index[v]]
+    energy = obj.copy()
+    for sense in ("=", "<=", ">="):
+        ids = [ci for ci in simple if rows[ci]["sense"] == sense]
+        for ci in ids:
+            energy += row_penalty(rows[ci], lin[:, ci] - rows[ci]["rhs"])
+    for members, row_ids in components:
+        best = None
+        for w_tuple in itertools.product((0, 1), repeat=len(members)):
+            acc = np.zeros(len(ks))
+            for w, p in zip(w_tuple, members):
+                i, j = pairs[p]
+                if w:
+                    acc += reform.rho * (pair_vals[p] - 2.0 * X[:, i] - 2.0 * X[:, j] + 3.0)
+                else:
+                    acc += reform.rho * pair_vals[p]
+            w_at = dict(zip(members, w_tuple))
+            for ci in row_ids:
+                shift = sum(q * w_at[p] for p, q in rows[ci]["pair_pos"])
+                acc += row_penalty(rows[ci], lin[:, ci] - rows[ci]["rhs"] + shift)
+            best = acc if best is None else np.minimum(best, acc)
+        energy += best
+
+    bits_of = [tuple(int(b) for b in x) for x in X]
+    feasible_count = int(mask.sum())
+    feasible_opt = float(obj[mask].min()) if feasible_count else None
+    exactness = [(bits_of[k], float(energy[k]), float(obj[k]))
+                 for k in np.nonzero(mask & (np.abs(energy - obj) > tol))[0]]
+    dominance = []
+    if feasible_count:
+        flagged = sorted((float(energy[k]), int(k)) for k in np.nonzero(~mask)[0]
+                         if energy[k] <= feasible_opt + tol)
+        dominance = [(bits_of[k], e) for e, k in flagged[:max_failures]]
+    best_k = int(np.argmin(energy))
+
+    source_bits = bits_of[best_k]
+    full = list(source_bits) + [0] * (reform.qubo.num_vars - n)
+    w_chosen = {}
+    for members, row_ids in components:
+        best = None
+        for w_tuple in itertools.product((0, 1), repeat=len(members)):
+            acc = 0.0
+            for w, p in zip(w_tuple, members):
+                i, j = pairs[p]
+                acc += reform.rho * rosenberg_penalty(source_bits[i], source_bits[j], w)
+            w_at = dict(zip(members, w_tuple))
+            for ci in row_ids:
+                shift = sum(q * w_at[p] for p, q in rows[ci]["pair_pos"])
+                acc += row_penalty_scalar(rows[ci], float(lin[best_k, ci])
+                                          - rows[ci]["rhs"] + shift)[0]
+            if best is None or acc < best[0]:
+                best = (acc, w_tuple)
+        for w, p in zip(best[1], members):
+            w_chosen[p] = w
+            full[reform.aux_products[pairs[p]]] = w
+    for ci, row in enumerate(rows):
+        shift = sum(q * w_chosen[p] for p, q in row["pair_pos"])
+        _, slack = row_penalty_scalar(row, float(lin[best_k, ci]) - row["rhs"] + shift)
+        for k, idx in enumerate(row["slack_indices"]):
+            full[idx] = (slack >> k) & 1
+
+    return VerificationReport(
+        passed=not exactness and not dominance,
+        num_source_assignments=1 << n,
+        feasible_count=feasible_count,
+        feasible_optimum=feasible_opt,
+        qubo_minimum=float(energy[best_k]),
+        qubo_argmin=tuple(full),
+        argmin_objective=program.objective_value(source_bits),
+        argmin_feasible=program.is_feasible(source_bits),
+        exactness_failures=tuple(exactness[:max_failures]),
+        dominance_failures=tuple(dominance),
+        rho=reform.rho,
+    )
+
+
+def _short_slack(reform):
+    """``reform`` with the top slack bit of every inequality row left out.
+
+    The reformulation is then wrong: a feasible point whose row needs the
+    missing slack keeps a penalty, which ``verify`` must report.
+    """
+    groups = tuple(
+        dataclasses.replace(g, indices=g.indices[:-1], weights=g.weights[:-1])
+        for g in reform.slack_groups)
+    return dataclasses.replace(reform, slack_groups=groups)
+
+
+def _reports_agree(reform):
+    report = verify(reform)
+    assert report == _reference_verify(reform)
+    return report
+
+
+@given(solvable_programs())
+@settings(max_examples=100, deadline=None)
+def test_verify_matches_dense_reference(prog):
+    reform = reformulate(prog)
+    assert _reports_agree(reform).passed
+    _reports_agree(reformulate(prog, rho=0.5))
+    _reports_agree(_short_slack(reform))
+
+
+def test_verify_matches_dense_reference_on_failures():
+    # (1, 1, 1) is feasible with slack 2 on the first row, so dropping the
+    # 2-bit leaves it a penalty; rho = 0.5 lets the infeasible (0, 0, 0)
+    # undercut the optimum 1
+    prog = _program({"x": 1.0, "y": 2.0, "z": 3.0},
+                    [Constraint({"x": 1.0, "y": 1.0, "z": 1.0}, ">=", 1.0),
+                     Constraint({"x": 1.0}, ">=", 0.0, products=(("y", "z", -1.0),))],
+                    names=("x", "y", "z"))
+    short = _reports_agree(_short_slack(reformulate(prog)))
+    assert short.exactness_failures and not short.dominance_failures
+    weak = _reports_agree(reformulate(prog, rho=0.5))
+    assert weak.dominance_failures and not weak.exactness_failures
+
+
+def test_verify_matches_dense_reference_without_feasible_points():
+    # no point is feasible, so nothing is pruned and every code is completed
+    prog = _program({"a": 1.0, "b": -2.0},
+                    [Constraint({"a": 1.0, "b": 1.0}, "=", 1.0),
+                     Constraint({"a": 1.0, "b": 1.0}, "=", 0.0,
+                                products=(("a", "c", 1.0),))],
+                    names=("a", "b", "c"))
+    report = _reports_agree(reformulate(prog))
+    assert report.feasible_count == 0
+    assert report.feasible_optimum is None
+    assert not report.argmin_feasible

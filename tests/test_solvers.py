@@ -173,6 +173,104 @@ def test_brute_force_chunking_invariant(chunk_bits):
     full = brute_force(q, chunk_bits=18)
     chunked = brute_force(q, chunk_bits=chunk_bits)
     assert full.records == chunked.records
+    names = tuple(f"x{i}" for i in range(7))
+    prog = BinaryProgram(
+        var_names=names,
+        objective={name: float((3 * i) % 5 - 2) for i, name in enumerate(names)},
+        constraints=(
+            Constraint({name: 1.0 for name in names}, "<=", 4.0),
+            Constraint({"x0": 1.0, "x6": 1.0}, ">=", 1.0),
+            Constraint({"x2": 1.0}, "=", 0.0, products=(("x3", "x4", 1.0),)),
+        ),
+        objective_products=(("x1", "x5", -3.0),),
+        projection=names[:5],
+    )
+    full = brute_force(prog, chunk_bits=18)
+    assert full.records
+    assert brute_force(prog, chunk_bits=chunk_bits).records == full.records
+
+
+def _float_matrix_reference(prog):
+    """The exhaustive scan as it was before the integer-code kernel.
+
+    Builds the float 0/1 matrix of all 2^n assignments (variable 0 most
+    significant), evaluates every row on every assignment, and keeps the
+    cheapest feasible completion per projected configuration, ties to the
+    first assignment in lexicographic order.
+    """
+    n = prog.num_vars
+    index = {name: i for i, name in enumerate(prog.var_names)}
+    ks = np.arange(1 << n, dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = ((ks[None, :] >> shifts[:, None]) & 1).astype(np.float64).T
+
+    mask = np.ones(X.shape[0], dtype=bool)
+    for con in prog.constraints:
+        a = np.zeros(n)
+        for name, coeff in con.linear.items():
+            a[index[name]] += coeff
+        lhs = X @ a
+        for u, v, q in con.products:
+            lhs += q * (X[:, index[u]] * X[:, index[v]])
+        if con.sense == "=":
+            mask &= np.abs(lhs - con.rhs) <= 1e-9
+        elif con.sense == "<=":
+            mask &= lhs <= con.rhs + 1e-9
+        else:
+            mask &= lhs >= con.rhs - 1e-9
+    c = np.zeros(n)
+    for name, coeff in prog.objective.items():
+        c[index[name]] += coeff
+    obj = X @ c + prog.objective_constant
+    for u, v, q in prog.objective_products:
+        obj += q * X[:, index[u]] * X[:, index[v]]
+
+    proj_idx = [index[name] for name in prog.projection or prog.var_names]
+    pool = {}
+    for k in np.nonzero(mask)[0]:
+        bits = tuple(int(b) for b in X[k])
+        key = tuple(bits[i] for i in proj_idx)
+        if key not in pool or obj[k] < pool[key][0]:
+            pool[key] = (float(obj[k]), bits)
+    records = [SampleRecord(assignment=bits, energy=value, objective=value, feasible=True)
+               for value, bits in pool.values()]
+    return SampleSet.build(records, "oracle", status="ok" if records else "infeasible")
+
+
+def _assert_matches_float_matrix_reference(prog):
+    reference = _float_matrix_reference(prog)
+    found = brute_force(prog)
+    assert found.records == reference.records
+    assert found.status == reference.status
+    return found
+
+
+_EDGE_PROGRAMS = {
+    "infeasible": BinaryProgram(
+        var_names=("a", "b", "c"), objective={"a": 1.0, "c": -2.0},
+        constraints=(Constraint({"a": 1.0, "b": 1.0}, "=", 1.0),
+                     Constraint({"a": 1.0, "b": 1.0}, ">=", 2.0))),
+    "no-constraints": BinaryProgram(
+        var_names=("a", "b", "c"), objective={"a": -1.0, "b": 2.0},
+        objective_constant=0.5, objective_products=(("a", "c", -1.5),),
+        projection=("a", "c")),
+    "product-rows": BinaryProgram(
+        var_names=("x", "y", "z", "w"),
+        objective={"x": 1.0, "y": -2.0, "z": 3.0, "w": -1.0},
+        constraints=(
+            Constraint({"w": 1.0}, "=", 0.0, products=(("x", "y", -1.0),)),
+            Constraint({"z": 1.0}, "<=", 1.0, products=(("y", "w", 2.0),)),
+            Constraint({"x": 1.0, "z": 1.0}, ">=", 1.0,
+                       products=(("x", "z", -1.0), ("z", "y", 1.0))),
+        ),
+        objective_products=(("x", "w", 2.5),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_PROGRAMS))
+def test_brute_force_matches_float_matrix_reference_on_edge_programs(name):
+    found = _assert_matches_float_matrix_reference(_EDGE_PROGRAMS[name])
+    assert (found.status == "infeasible") == (name == "infeasible")
 
 
 # -- simulated annealing -------------------------------------------------------
@@ -366,6 +464,12 @@ def _cut_loop_reference(prog):
         records.append(best)
         values = dict(zip(prog.var_names, best.assignment))
         current = current.with_constraints([no_good_cut(values, over)])
+
+
+@given(solvable_programs())
+@settings(max_examples=100, deadline=None)
+def test_brute_force_matches_float_matrix_reference(prog):
+    _assert_matches_float_matrix_reference(prog)
 
 
 @given(solvable_programs())
