@@ -66,3 +66,27 @@ def read_json(path, error: type[FlowQuboError]):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def json_list(value) -> list:
+    """``value`` if it is a JSON list.
+
+    Anything else raises ``TypeError``, one of :data:`JSON_SHAPE_ERRORS`, so
+    the loader reports malformed input; ``tuple()`` alone would read a string
+    as one item per character and an object as its keys.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {type(value).__name__}")
+    return value
+
+
+def json_str(value) -> str:
+    """``value`` if it is a JSON string; ``TypeError`` otherwise, as above."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {type(value).__name__}")
+    return value
+
+
+def json_names(value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple."""
+    return tuple(map(json_str, json_list(value)))

@@ -24,7 +24,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import JSON_SHAPE_ERRORS, ModelError, read_json
+from .errors import (
+    JSON_SHAPE_ERRORS,
+    ModelError,
+    json_list,
+    json_names,
+    json_str,
+    read_json,
+)
 from .ip import BinaryProgram, Constraint
 from .solvers import brute_force
 
@@ -142,10 +149,10 @@ class IlDesignSpace:
 
         try:
             return cls(
-                reactors=tuple(data["reactors"]),
-                separators=tuple(data["separators"]),
-                cations=tuple(data["cations"]),
-                anions=tuple(data["anions"]),
+                reactors=json_names(data["reactors"]),
+                separators=json_names(data["separators"]),
+                cations=json_names(data["cations"]),
+                anions=json_names(data["anions"]),
                 c_fixed=fmap("c_fixed"),
                 c_oper_reactor=fmap("c_oper_reactor"),
                 c_oper_separator=fmap("c_oper_separator"),
@@ -238,19 +245,19 @@ class DsDesignSpace:
     def from_json_dict(cls, data: Mapping) -> "DsDesignSpace":
         try:
             return cls(
-                flows=tuple(data["flows"]),
+                flows=json_names(data["flows"]),
                 nodes=tuple(
-                    DsNode(name=str(n["name"]),
-                           inflows=tuple(n["inflows"]),
-                           outflows=tuple(n["outflows"]))
-                    for n in data["nodes"]
+                    DsNode(name=json_str(n["name"]),
+                           inflows=json_names(n["inflows"]),
+                           outflows=json_names(n["outflows"]))
+                    for n in json_list(data["nodes"])
                 ),
                 costs={str(k): float(v) for k, v in data.get("costs", {}).items()},
                 source=str(data["source"]),
                 sink=str(data["sink"]),
-                configuration_flows=tuple(data["configuration_flows"]),
+                configuration_flows=json_names(data["configuration_flows"]),
                 logic_rules=tuple(Constraint.from_json_dict(r)
-                                  for r in data.get("logic_rules", [])),
+                                  for r in json_list(data.get("logic_rules", []))),
                 units={str(k): str(v) for k, v in data.get("units", {}).items()},
                 provenance=str(data.get("provenance", "synthetic")),
             )

@@ -16,7 +16,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import JSON_SHAPE_ERRORS, DimensionError, ModelError, read_json
+from .errors import (
+    JSON_SHAPE_ERRORS,
+    DimensionError,
+    ModelError,
+    json_list,
+    json_names,
+    read_json,
+)
 
 __all__ = [
     "SENSES",
@@ -92,9 +99,13 @@ class Constraint:
             linear={str(k): float(v) for k, v in data.get("linear", {}).items()},
             sense=str(data["sense"]),
             rhs=float(data["rhs"]),
-            products=tuple((str(u), str(v), float(c)) for u, v, c in data.get("products", [])),
+            products=_products_from_json(data.get("products", [])),
             label=str(data.get("label", "")),
         )
+
+
+def _products_from_json(value) -> tuple[tuple[str, str, float], ...]:
+    return tuple((str(u), str(v), float(c)) for u, v, c in map(json_list, json_list(value)))
 
 
 @dataclass(frozen=True)
@@ -208,13 +219,13 @@ class BinaryProgram:
         try:
             obj = data.get("objective", {})
             return cls(
-                var_names=tuple(data["var_names"]),
+                var_names=json_names(data["var_names"]),
                 objective={str(k): float(v) for k, v in obj.get("linear", {}).items()},
-                constraints=tuple(Constraint.from_json_dict(c) for c in data.get("constraints", [])),
+                constraints=tuple(Constraint.from_json_dict(c)
+                                  for c in json_list(data.get("constraints", []))),
                 objective_constant=float(obj.get("constant", 0.0)),
-                objective_products=tuple(
-                    (str(u), str(v), float(c)) for u, v, c in obj.get("products", [])),
-                projection=tuple(data.get("projection", ())),
+                objective_products=_products_from_json(obj.get("products", [])),
+                projection=json_names(data.get("projection", [])),
             )
         except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed program JSON: {exc}") from exc

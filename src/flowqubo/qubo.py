@@ -18,7 +18,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import JSON_SHAPE_ERRORS, DimensionError, ModelError, read_json
+from .errors import (
+    JSON_SHAPE_ERRORS,
+    DimensionError,
+    ModelError,
+    json_list,
+    json_names,
+    read_json,
+)
 
 __all__ = ["QuboModel", "IsingModel", "qubo_to_ising", "ising_to_qubo"]
 
@@ -148,9 +155,12 @@ class QuboModel:
     def from_json_dict(cls, data: Mapping) -> "QuboModel":
         try:
             num_vars = int(data["num_vars"])
-            terms = {(int(i), int(j)): float(v) for i, j, v in data["terms"]}
+            terms = {(int(i), int(j)): float(v)
+                     for i, j, v in map(json_list, json_list(data["terms"]))}
             offset = float(data.get("offset", 0.0))
             names = data.get("var_names")
+            if names is not None:
+                names = json_names(names)
         except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed QUBO JSON: {exc}") from exc
         return cls.from_terms(num_vars, terms, offset, names)

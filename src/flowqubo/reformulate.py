@@ -530,7 +530,9 @@ def verify(
     reproduces the exact QUBO minimum over completions.  Exactness failures
     are feasible assignments whose minimal completion energy differs from
     the objective; dominance failures are infeasible assignments whose
-    completion energy does not exceed the feasible optimum.
+    completion energy does not exceed the feasible optimum.  ``passed`` also
+    requires a feasible assignment: without one there is no feasible
+    optimum for the QUBO minimum to sit on.
 
     The scan makes two survivor-filtered passes over the integer codes of
     the source assignments.  The first keeps the feasible codes, row by row
@@ -602,7 +604,7 @@ def verify(
 
     source_bits = full_bits[:n]
     return VerificationReport(
-        passed=not exactness and not dominance,
+        passed=feasible_count > 0 and not exactness and not dominance,
         num_source_assignments=1 << n,
         feasible_count=feasible_count,
         feasible_optimum=None if not feasible_count else feasible_opt,

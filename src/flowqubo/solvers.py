@@ -9,7 +9,10 @@ and :mod:`ip`:
   survived the rows before it; the same kernel feeds
   :func:`~flowqubo.reformulate.verify` and the two-stage sweep,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
-  geometric inverse-temperature schedule,
+  geometric inverse-temperature schedule.  It colours the coupling graph
+  greedily and flips one colour class per numpy step, all reads at once,
+  with float32 states and local fields deciding acceptance (after Isakov,
+  Zintchenko, Rønnow & Troyer, Comput. Phys. Commun. 192:265, 2015),
 * :func:`branch_and_bound` — one depth-first exact search, pruned by
   objective in optimal mode and exhaustive in the enumerate-all and
   solution-pool modes.
@@ -130,6 +133,9 @@ class SampleSet:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self, include_tau: bool = True) -> dict:
+        """The sample-file layout; wall-clock timings (``tau_seconds`` and
+        ``time_breakdown``) only with ``include_tau``, so seeded runs saved
+        without it are byte-identical."""
         out: dict = {
             "solver": self.solver,
             "seed": self.seed,
@@ -148,7 +154,7 @@ class SampleSet:
         }
         if self.metadata:
             out["metadata"] = {k: self.metadata[k] for k in sorted(self.metadata)}
-        if self.time_breakdown is not None:
+        if include_tau and self.time_breakdown is not None:
             out["time_breakdown"] = dict(self.time_breakdown)
         return out
 
@@ -480,11 +486,23 @@ def derived_beta_schedule(qubo: QuboModel) -> tuple[float, float]:
 
 
 def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> SampleSet:
-    """Single-flip Metropolis annealer, vectorized across reads.
+    """Single-flip Metropolis annealer over colour classes, vectorized across reads.
 
     All reads advance in lockstep through ``num_sweeps`` full sweeps (one
     proposed flip per variable per sweep) under a geometric β schedule; the
     terminal state of each read is one sample.  Deterministic given the seed.
+
+    The coupling graph is coloured greedily once per call, and a sweep visits
+    the colour classes in turn, flipping a whole class in one numpy step
+    (:func:`_anneal`): no two spins of a class are coupled, so this equals
+    visiting them one by one.  State and local fields are float32 and decide
+    acceptance only; reported energies are recomputed in float64 by
+    :meth:`QuboModel.energies`.
+
+    ``metadata["acceptance_by_band"]`` holds the share of proposed flips
+    accepted in each of ten equal bands of sweeps, hot to cold (fewer bands
+    when there are fewer than ten sweeps).  ``time_breakdown`` holds the
+    seconds spent on set-up (``schedule``), in the sweeps and in the tally.
     """
     params = params or SaParams()
     if params.num_reads < 1 or params.num_sweeps < 1:
@@ -514,20 +532,24 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
                                seed=params.seed, metadata=metadata)
 
     h, w = qubo.fields()
-    betas = np.geomspace(beta_hot, beta_cold, num=params.num_sweeps)
-    X = rng.integers(0, 2, size=(reads, n)).astype(np.float64)
-    for beta in betas:
-        for i in range(n):
-            xi = X[:, i]
-            d_energy = (1.0 - 2.0 * xi) * (h[i] + X @ w[i])
-            u = rng.random(reads)
-            accept = u < np.exp(-beta * np.maximum(d_energy, 0.0))
-            X[:, i] = np.where(accept, 1.0 - xi, xi)
+    if np.max(np.abs(h) + np.abs(w).sum(axis=1)) > np.finfo(np.float32).max:
+        raise SolverError("coefficients too large for the float32 annealing kernel")
+    order, bounds = _colour_classes(w)
+    h = h[order].astype(np.float32)
+    w = w[np.ix_(order, order)].astype(np.float32)
+    betas = np.geomspace(beta_hot, beta_cold, num=params.num_sweeps).astype(np.float32)
+    X = rng.integers(0, 2, size=(n, reads)).astype(np.float32)
+    F = h[:, None] + w @ X
+    t1 = time.perf_counter()
+    accepted = _anneal(w, bounds, betas, X, F, rng)
+    t2 = time.perf_counter()
 
-    energies = qubo.energies(X)
+    states = np.empty((reads, n))
+    states[:, order] = X.T
+    energies = qubo.energies(states)
     counts: dict[tuple[int, ...], list] = {}
     for r in range(reads):
-        key = tuple(int(b) for b in X[r])
+        key = tuple(int(b) for b in states[r])
         entry = counts.get(key)
         if entry is None:
             counts[key] = [float(energies[r]), 1]
@@ -537,8 +559,82 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
         SampleRecord(assignment=bits, energy=e, occurrences=k)
         for bits, (e, k) in counts.items()
     ]
-    tau = time.perf_counter() - t0
-    return SampleSet.build(records, "sa", tau=tau, seed=params.seed, metadata=metadata)
+    metadata["acceptance_by_band"] = [
+        int(band.sum()) / (band.size * n * reads)
+        for band in np.array_split(accepted, min(10, params.num_sweeps))]
+    t3 = time.perf_counter()
+    return SampleSet.build(records, "sa", tau=t3 - t0, seed=params.seed, metadata=metadata,
+                           time_breakdown={"schedule": t1 - t0, "sweeps": t2 - t1,
+                                           "tally": t3 - t2})
+
+
+def _colour_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy proper colouring of the coupling graph of ``w``.
+
+    Variables are coloured in order of decreasing degree (Welsh & Powell),
+    each with the least colour that none of its neighbours has.  Returns
+    ``order``, the variables sorted by colour and by index within a colour,
+    and ``bounds``, such that colour ``c`` is ``order[bounds[c]:bounds[c+1]]``.
+    """
+    neighbours = [np.flatnonzero(row) for row in w]
+    colour = np.full(len(w), -1)
+    for v in np.argsort([-len(nbr) for nbr in neighbours], kind="stable"):
+        taken = set(colour[neighbours[v]].tolist())
+        colour[v] = min(set(range(len(taken) + 1)) - taken)
+    order = np.argsort(colour, kind="stable")
+    bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2))
+    return order, bounds
+
+
+def _log_thresholds(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the float32 array ``out`` with minus Exp(1) draws, ``log(1 - u)``.
+
+    ``u`` is a float32 uniform on [0, 1), so ``1 - u`` is at least 2^-24 and
+    the log is finite.  A uniform and a log cost less here than numpy's
+    float32 exponential sampler.
+    """
+    rng.random(out=out, dtype=np.float32)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+
+
+def _anneal(w: np.ndarray, bounds: np.ndarray, betas: np.ndarray,
+            X: np.ndarray, F: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Run one sweep per entry of ``betas`` on ``X`` and ``F`` in place.
+
+    ``X`` holds the float32 states and ``F = h + w X`` their local fields,
+    both laid out variables × reads, with the variables permuted so that
+    colour class ``c`` is the row slice ``bounds[c]:bounds[c+1]``.  Each
+    sweep draws one threshold per spin and read and visits the classes in
+    order.  A spin flips when ``beta * dE < E`` with ``E ~ Exp(1)``, the law
+    of ``u < exp(-beta * max(dE, 0))``; with ``s = 2x - 1`` the flip costs
+    ``dE = -s F``, so the test reads ``-E < beta * s F``.  Spins of one class
+    share no coupling, so their fields stay put while the class flips, and
+    the flips then move the fields of the class's neighbours only.  Returns
+    the number of accepted flips per sweep.
+    """
+    thresholds = np.empty_like(X)
+    classes = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        nbr = np.flatnonzero(w[:, lo:hi].any(axis=1))
+        classes.append((slice(lo, hi), nbr, w[nbr, lo:hi],
+                        np.empty_like(X[lo:hi]), np.empty(X[lo:hi].shape, dtype=bool)))
+    accepted = np.zeros(len(betas), dtype=np.int64)
+    for t, beta in enumerate(betas):
+        _log_thresholds(rng, thresholds)
+        total = 0
+        for c, nbr, block, s, flip in classes:
+            np.multiply(X[c], 2.0, out=s)
+            s -= 1.0
+            np.less(thresholds[c], beta * (s * F[c]), out=flip)
+            flips = np.count_nonzero(flip)
+            if flips:       # cold sweeps often flip nothing in a class
+                s *= flip   # -1 for a flip to 1, +1 for a flip to 0
+                X[c] -= s
+                F[nbr] -= block @ s
+                total += flips
+        accepted[t] = total
+    return accepted
 
 
 # -- branch and bound ---------------------------------------------------------

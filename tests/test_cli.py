@@ -148,10 +148,12 @@ def test_tau_is_null_unless_requested(tmp_path, tiny_space_file):
     assert main(argv + ["--out", str(out_plain)]) == 0
     payload = json.loads((out_plain / "samples.json").read_text())
     assert payload["tau_seconds"] is None
+    assert "time_breakdown" not in payload
     out_tau = tmp_path / "tau"
     assert main(argv + ["--record-tau", "--out", str(out_tau)]) == 0
     payload = json.loads((out_tau / "samples.json").read_text())
     assert isinstance(payload["tau_seconds"], float)
+    assert set(payload["time_breakdown"]) == {"schedule", "sweeps", "tally"}
 
 
 def test_import_round_trip(tmp_path):
@@ -285,27 +287,32 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv, content):
     assert "Traceback" not in err
 
 
-# input files the CLI reads, each with its command and the top-level keys
-# its loader cannot do without
+# input files the CLI reads, each with its command and the paths of the keys
+# its loader cannot do without, nested ones included
 _INPUTS = {
     "model": (["solve", "--case", "custom", "--solver", "bb", "--model"],
               BinaryProgram(var_names=("a", "b"), objective={"a": 1.0, "b": 2.0},
-                            constraints=(Constraint({"a": 1.0, "b": 1.0}, ">=", 1.0),),
+                            constraints=(Constraint({"a": 1.0, "b": 1.0}, ">=", 1.0,
+                                                    products=(("a", "b", 1.0),)),),
+                            objective_products=(("a", "b", 0.5),), projection=("a",),
                             ).to_json_dict(),
-              ("var_names",)),
+              (("var_names",), ("constraints", 0, "sense"), ("constraints", 0, "rhs"))),
     "il-params": (["build", "--case", "il", "--params"],
                   load_default_il_space().to_json_dict(),
-                  ("reactors", "separators", "cations", "anions", "c_fixed",
-                   "c_oper_reactor", "c_oper_separator", "c_invest", "c_energy",
-                   "alpha", "beta", "f_lower", "f_upper", "demand")),
+                  tuple((key,) for key in (
+                      "reactors", "separators", "cations", "anions", "c_fixed",
+                      "c_oper_reactor", "c_oper_separator", "c_invest", "c_energy",
+                      "alpha", "beta", "f_lower", "f_upper", "demand"))),
     "ds-params": (["build", "--case", "ds", "--params"],
                   load_default_ds_space().to_json_dict(),
-                  ("flows", "nodes", "source", "sink", "configuration_flows")),
+                  (("flows",), ("nodes",), ("source",), ("sink",), ("configuration_flows",),
+                   ("nodes", 0, "name"), ("nodes", 0, "inflows"), ("nodes", 0, "outflows"),
+                   ("logic_rules", 0, "sense"))),
     "samples": (["report", "--samples"],
                 SampleSet.build([SampleRecord((0, 1), 2.0, objective=2.0, feasible=True),
                                  SampleRecord((1, 1), 3.5, occurrences=2)],
                                 "sa", seed=4).to_json_dict(),
-                ("solver", "records")),
+                (("solver",), ("records",), ("records", 0, "assignment"))),
 }
 
 _json_values = st.recursive(
@@ -316,24 +323,25 @@ _json_values = st.recursive(
     max_leaves=8)
 
 
-def _float_leaves(value, path=()):
-    """Paths to every float in a JSON document."""
-    if isinstance(value, float):
-        return [path]
+def _leaf_paths(value, kind, path=()):
+    """Paths to every value of type ``kind`` in a JSON document."""
+    found = [path] if isinstance(value, kind) else []
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
         items = enumerate(value)
     else:
-        return []
-    return [leaf for key, item in items for leaf in _float_leaves(item, path + (key,))]
+        return found
+    return found + [leaf for key, item in items
+                    for leaf in _leaf_paths(item, kind, path + (key,))]
 
 
 @st.composite
 def malformed_bodies(draw, doc, required):
     """The text of a document that no loader may accept."""
     kind = draw(st.sampled_from(
-        ("truncated", "not-an-object", "missing-key", "null-key", "float-overflow")))
+        ("truncated", "not-an-object", "missing-key", "null-key", "float-overflow",
+         "string-for-list")))
     if kind == "truncated":
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -342,17 +350,24 @@ def malformed_bodies(draw, doc, required):
     doc = copy.deepcopy(doc)
     if kind == "float-overflow":
         # a valid JSON number that no float can hold
-        *parents, last = draw(st.sampled_from(_float_leaves(doc)))
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = draw(st.integers(min_value=2 ** 1024, max_value=10 ** 400))
-        return json.dumps(doc)
-    key = draw(st.sampled_from(required))
-    if kind == "missing-key":
-        del doc[key]
+        path = draw(st.sampled_from(_leaf_paths(doc, float)))
+        value = draw(st.integers(min_value=2 ** 1024, max_value=10 ** 400))
+    elif kind == "string-for-list":
+        # a string where a list belongs, such as "ab" for ["a", "b"]; a loader
+        # that calls tuple() on it reads one item per character
+        path = draw(st.sampled_from(_leaf_paths(doc, list)))
+        value = draw(st.sampled_from(("", "ab", "ab1")))
     else:
-        doc[key] = None
+        path = draw(st.sampled_from(required))
+        value = None
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if kind == "missing-key":
+        del target[last]
+    else:
+        target[last] = value
     return json.dumps(doc)
 
 

@@ -441,7 +441,7 @@ def _reference_verify(reform, tol=1e-9, max_failures=20):
             full[idx] = (slack >> k) & 1
 
     return VerificationReport(
-        passed=not exactness and not dominance,
+        passed=feasible_count > 0 and not exactness and not dominance,
         num_source_assignments=1 << n,
         feasible_count=feasible_count,
         feasible_optimum=feasible_opt,
@@ -507,3 +507,15 @@ def test_verify_matches_dense_reference_without_feasible_points():
     assert report.feasible_count == 0
     assert report.feasible_optimum is None
     assert not report.argmin_feasible
+    assert not report.passed
+
+
+def test_verify_fails_without_feasible_point():
+    # no variables and an unsatisfiable row: no penalty or dominance failure
+    # can show, yet there is no feasible optimum to certify
+    prog = BinaryProgram(var_names=(), objective={},
+                         constraints=(Constraint({}, "=", 1.0),))
+    report = _reports_agree(reformulate(prog))
+    assert report.feasible_count == 0
+    assert not report.exactness_failures and not report.dominance_failures
+    assert not report.passed

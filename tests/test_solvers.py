@@ -24,6 +24,7 @@ from flowqubo import (
     no_good_cut,
     simulated_annealing,
 )
+from flowqubo.solvers import _anneal, _colour_classes, _log_thresholds
 
 
 def _tiny_qubo():
@@ -300,6 +301,10 @@ def test_sa_validates_params():
         simulated_annealing(q, SaParams(num_reads=0))
     with pytest.raises(SolverError):
         simulated_annealing(q, SaParams(beta_hot=5.0, beta_cold=1.0))
+    huge = QuboModel.from_terms(2, {(0, 0): 1e39, (0, 1): -1.0})
+    with pytest.raises(SolverError):
+        simulated_annealing(huge, SaParams(num_reads=2, num_sweeps=2, beta_hot=1.0,
+                                           beta_cold=2.0))
 
 
 def test_sa_empty_model():
@@ -315,6 +320,165 @@ def test_derived_schedule_brackets_coefficients():
     assert cold == pytest.approx(10.0 / 0.5)
     flat = QuboModel.from_terms(2, {})
     assert derived_beta_schedule(flat) == (0.1, 10.0)
+
+
+def test_sa_records_timings_and_acceptance_bands(tmp_path):
+    q = _tiny_qubo()
+    params = SaParams(num_reads=50, num_sweeps=40, seed=3)
+    ss = simulated_annealing(q, params)
+    assert set(ss.time_breakdown) == {"schedule", "sweeps", "tally"}
+    assert all(seconds >= 0.0 for seconds in ss.time_breakdown.values())
+    bands = ss.metadata["acceptance_by_band"]
+    assert len(bands) == 10
+    assert all(0.0 <= rate <= 1.0 for rate in bands)
+    assert bands[0] > bands[-1]                       # hot accepts more than cold
+    assert simulated_annealing(q, params).metadata == ss.metadata
+    short = simulated_annealing(q, SaParams(num_reads=5, num_sweeps=3, seed=1))
+    assert len(short.metadata["acceptance_by_band"]) == 3
+
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    ss.save(plain, include_tau=False)
+    ss.save(timed)
+    assert "time_breakdown" not in json.loads(plain.read_text())
+    assert json.loads(plain.read_text())["metadata"]["acceptance_by_band"] == bands
+    assert SampleSet.load(timed).time_breakdown == ss.time_breakdown
+
+
+@st.composite
+def integer_qubos(draw, max_vars=10):
+    """Random QUBOs with small integer coefficients, exact in float32."""
+    n = draw(st.integers(1, max_vars))
+    coeff = st.integers(-20, 20).map(float)
+    terms = {(i, i): draw(coeff) for i in range(n)}
+    density = draw(st.sampled_from((0.0, 0.3, 0.6, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            terms[i, j] = draw(coeff)
+    return QuboModel.from_terms(n, terms)
+
+
+def _kernel_inputs(qubo, reads, sweeps, seed):
+    """The permuted fields, classes, schedule and start states of the kernel."""
+    h, w = qubo.fields()
+    order, bounds = _colour_classes(w)
+    h, w = h[order], w[np.ix_(order, order)]
+    betas = np.geomspace(*derived_beta_schedule(qubo), num=sweeps).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    X0 = rng.integers(0, 2, size=(qubo.num_vars, reads)).astype(np.float32)
+    return h, w, bounds, betas, X0
+
+
+def _run_kernel(h, w, bounds, betas, X0, seed):
+    w32 = w.astype(np.float32)
+    X = X0.copy()
+    F = h.astype(np.float32)[:, None] + w32 @ X
+    accepted = _anneal(w32, bounds, betas, X, F, np.random.default_rng(seed))
+    return X, F, accepted
+
+
+def _sequential_reference(h, w, betas, X0, seed):
+    """The sweeps one spin at a time in the kernel's order, in float64.
+
+    Each spin's field ``h + W x`` is recomputed from the current state, and
+    each spin and read consumes the threshold the kernel gives it.  The
+    acceptance test is the kernel's float32 ``beta * dE < E``; on integer
+    coefficients ``dE`` is exact in float32.
+    """
+    X = X0.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    thresholds = np.empty(X.shape, dtype=np.float32)
+    accepted = []
+    for beta in betas:
+        _log_thresholds(rng, thresholds)
+        flips = 0
+        for i in range(len(X)):
+            d_energy = (1.0 - 2.0 * X[i]) * (h[i] + w[i] @ X)
+            flip = beta * d_energy.astype(np.float32) < -thresholds[i]
+            X[i] = np.where(flip, 1.0 - X[i], X[i])
+            flips += int(flip.sum())
+        accepted.append(flips)
+    return X, accepted
+
+
+def _assert_proper_colouring(w, bounds):
+    n = len(w)
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert np.all(np.diff(bounds) > 0)              # no empty class
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert not w[lo:hi, lo:hi].any()            # no coupling inside a class
+
+
+def _assert_kernel_matches_reference(qubo, reads=16, sweeps=30, seed=0):
+    h, w, bounds, betas, X0 = _kernel_inputs(qubo, reads, sweeps, seed)
+    _assert_proper_colouring(w, bounds)
+    X, F, accepted = _run_kernel(h, w, bounds, betas, X0, seed)
+    X_ref, accepted_ref = _sequential_reference(h, w, betas, X0, seed)
+    assert np.array_equal(X, X_ref)
+    assert accepted.tolist() == accepted_ref
+    assert np.array_equal(F, h[:, None] + w @ X_ref)   # exact on integers
+    return bounds
+
+
+@given(integer_qubos(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_anneal_kernel_matches_sequential_reference(qubo, seed):
+    _assert_kernel_matches_reference(qubo, seed=seed)
+
+
+@pytest.mark.parametrize("name, qubo, classes", [
+    ("one variable", QuboModel.from_terms(1, {(0, 0): -3.0}), 1),
+    ("no couplings", QuboModel.from_terms(5, {(i, i): (-1.0) ** i * i for i in range(5)}), 1),
+    ("complete graph",
+     QuboModel.from_terms(6, {(i, j): float((i + 2 * j) % 7 - 3) or 1.0
+                              for i in range(6) for j in range(i, 6)}), 6),
+])
+def test_anneal_kernel_edge_cases(name, qubo, classes):
+    bounds = _assert_kernel_matches_reference(qubo, sweeps=50, seed=5)
+    assert len(bounds) - 1 == classes
+
+
+@given(integer_qubos(max_vars=14))
+@settings(max_examples=100, deadline=None)
+def test_colour_classes_are_proper_and_permute_all_variables(qubo):
+    _, w = qubo.fields()
+    order, bounds = _colour_classes(w)
+    assert sorted(order.tolist()) == list(range(qubo.num_vars))
+    _assert_proper_colouring(w[np.ix_(order, order)], bounds)
+    assert len(bounds) - 1 <= np.count_nonzero(w, axis=1).max() + 1   # greedy bound
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_anneal_fields_do_not_drift_on_fractional_coefficients(seed):
+    rng = np.random.default_rng(seed)
+    n, reads, sweeps = 12, 64, 300
+    terms = {(i, j): rng.uniform(-10.0, 10.0)
+             for i in range(n) for j in range(i, n) if i == j or rng.random() < 0.5}
+    qubo = QuboModel.from_terms(n, terms)
+    h, w, bounds, betas, X0 = _kernel_inputs(qubo, reads, sweeps, seed)
+    X, F, accepted = _run_kernel(h, w, bounds, betas, X0, seed)
+    # Rounding bound, fixed from float32's unit roundoff u = eps / 2 and the
+    # largest field magnitude M: the float32 inputs and the initial product
+    # are off by at most (n + 1) u M, and each sweep adds to each field at
+    # most one update per class, a sum of |C| products plus one addition, so
+    # at most (n + classes) u M per sweep; classes <= n
+    u = np.finfo(np.float32).eps / 2
+    M = float(np.max(np.abs(h) + np.abs(w).sum(axis=1)))
+    tol = u * M * (n + 1) * (1 + 2 * sweeps)
+    assert accepted.sum() > 0
+    assert np.max(np.abs(F - (h[:, None] + w @ X.astype(np.float64)))) <= tol
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sa_finds_brute_force_minimum_on_small_qubos(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(3, 11))
+    terms = {(i, j): float(rng.integers(-9, 10))
+             for i in range(n) for j in range(i, n) if i == j or rng.random() < 0.5}
+    qubo = QuboModel.from_terms(n, terms)
+    ss = simulated_annealing(qubo, SaParams(num_reads=64, num_sweeps=200, seed=seed))
+    assert ss.best().energy == brute_force(qubo).best().energy
+    assert ss.num_reads == 64
 
 
 # -- branch and bound ----------------------------------------------------------
