@@ -68,6 +68,13 @@ def read_json(path, error: type[FlowQuboError]):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by two, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def json_list(value) -> list:
     """``value`` if it is a JSON list.
 

@@ -31,9 +31,11 @@ from .errors import (
     json_names,
     json_str,
     read_json,
+    write_json,
 )
 from .ip import BinaryProgram, Constraint
-from .solvers import brute_force
+# unused here, but perfbench/layers.py traces flowsheets.brute_force
+from .solvers import branch_and_bound, brute_force  # noqa: F401
 
 __all__ = [
     "IlDesignSpace",
@@ -172,9 +174,7 @@ class IlDesignSpace:
             raise ModelError(f"malformed il design-space JSON: {exc!r}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "IlDesignSpace":
@@ -265,9 +265,7 @@ class DsDesignSpace:
             raise ModelError(f"malformed ds design-space JSON: {exc!r}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "DsDesignSpace":
@@ -422,27 +420,39 @@ def build_ds_discrete(space: DsDesignSpace) -> BinaryProgram:
 # -- continuous stage ----------------------------------------------------------
 
 
+# Pattern-search constants: the first step of each start is a quarter of every
+# box side, a failed poll halves the steps, and a start ends once the largest
+# step is below 1e-6.
+_INITIAL_STEP_FRAC = 0.25
+_SHRINK = 0.5
+_STOP_MESH = 1e-6
+
+
+class _BudgetSpent(Exception):
+    """The evaluation budget of a pattern search is used up."""
+
+
 def pattern_search(
     func: Callable[[np.ndarray], float],
     bounds: Sequence[tuple[float, float]],
     *,
     seed=None,
     starts: int = 20,
-    shrink: float = 0.5,
-    stop_mesh: float = 1e-6,
     budget: int | None = None,
-    initial_step_frac: float = 0.25,
 ):
     """Multi-start coordinate pattern search with an extreme barrier.
 
     ``func`` returns the objective or infinity for infeasible points.  The
-    first start is the box center, the rest are uniform draws.  Polling
+    first start is the box center, the rest are uniform draws.  Each start
+    begins with steps of ``_INITIAL_STEP_FRAC`` times the box sides.  Polling
     visits coordinates in order, +step before -step, and accepts the first
-    strict improvement; a failed poll halves the step until it drops below
-    ``stop_mesh``.  Candidates are clipped to the box and skipped when the
-    clip lands back on the current point.  With a budget, evaluation number
-    ``budget`` is the last one; the evaluation sequence for a larger budget
-    extends the one for a smaller, so more budget never worsens the result.
+    strict improvement; a failed poll multiplies the steps by ``_SHRINK``
+    until the largest drops below ``_STOP_MESH``.  Candidates are clipped to
+    the box and skipped when the clip lands back on the current point.  An
+    evaluated point is never modified afterwards.  With a budget, evaluation
+    number ``budget`` is the last one; the evaluation sequence for a larger
+    budget extends the one for a smaller, so more budget never worsens the
+    result.
 
     Returns ``(best_x, best_value, evaluations)`` with ``best_x = None``
     when no evaluation returned a finite value.
@@ -455,8 +465,6 @@ def pattern_search(
         raise ValueError("bounds must be finite with lower <= upper")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    if not 0.0 < shrink < 1.0:
-        raise ValueError("shrink must lie strictly between 0 and 1")
 
     rng = np.random.default_rng(seed)
     dim = lb.size
@@ -464,8 +472,12 @@ def pattern_search(
     best_val = math.inf
     best_x: np.ndarray | None = None
 
+    limit = math.inf if budget is None else budget
+
     def evaluate(point: np.ndarray) -> float:
         nonlocal evals, best_val, best_x
+        if evals >= limit:
+            raise _BudgetSpent
         value = float(func(point))
         evals += 1
         if value < best_val:
@@ -473,46 +485,35 @@ def pattern_search(
             best_x = point.copy()
         return value
 
-    exhausted = False
-    for start_index in range(starts):
-        if exhausted:
-            break
-        if start_index == 0:
-            x = (lb + ub) / 2.0
-        else:
-            x = rng.uniform(lb, ub)
-        if budget is not None and evals >= budget:
-            break
-        fx = evaluate(x)
-        step = initial_step_frac * (ub - lb)
-        while True:
-            for i in range(dim):
+    try:
+        for start_index in range(starts):
+            x = (lb + ub) / 2.0 if start_index == 0 else rng.uniform(lb, ub)
+            fx = evaluate(x)
+            step = _INITIAL_STEP_FRAC * (ub - lb)
+            while True:
                 accepted = False
-                for sgn in (1.0, -1.0):
-                    cand_i = min(max(x[i] + sgn * step[i], lb[i]), ub[i])
-                    if cand_i == x[i]:
-                        continue
-                    if budget is not None and evals >= budget:
-                        exhausted = True
+                for i in range(dim):
+                    for sgn in (1.0, -1.0):
+                        cand_i = min(max(x[i] + sgn * step[i], lb[i]), ub[i])
+                        if cand_i == x[i]:
+                            continue
+                        cand = x.copy()
+                        cand[i] = cand_i
+                        fc = evaluate(cand)
+                        if fc < fx:
+                            x, fx = cand, fc
+                            accepted = True
+                            break
+                    if accepted:
                         break
-                    cand = x.copy()
-                    cand[i] = cand_i
-                    fc = evaluate(cand)
-                    if fc < fx:
-                        x, fx = cand, fc
-                        accepted = True
-                        break
-                if exhausted or accepted:
+                if accepted:
+                    continue
+                if step.max() < _STOP_MESH:
                     break
-            if exhausted:
-                break
-            if accepted:
-                continue
-            if step.max() < stop_mesh:
-                break
-            step = step * shrink
-
-    return best_x, (best_val if best_x is not None else math.inf), evals
+                step = step * _SHRINK
+    except _BudgetSpent:
+        pass
+    return best_x, best_val, evals
 
 
 def _parse_selection(space: IlDesignSpace, fixed) -> tuple[list, list, str, str]:
@@ -555,7 +556,6 @@ def il_continuous_solve(
     seed=None,
     budget: int | None = None,
     starts: int = 20,
-    stop_mesh: float = 1e-6,
 ) -> dict:
     """Flow sizing for one fixed configuration.
 
@@ -564,15 +564,18 @@ def il_continuous_solve(
     semicontinuous (zero or inside [f_lower, f_upper]) and the recovered
     product must meet the demand.  The objective adds fixed costs of the
     selected units, concave investment terms on throughputs, and a linear
-    energy term on separator intake; infeasible points are barred with an
-    infinite value.
+    energy term on separator intake.  The configuration fixes the search
+    box, so it is bound into the :class:`BlackBoxObjective` that
+    :func:`run_blackbox` optimizes.  Returns ``flows``, ``objective``,
+    ``evaluations`` and ``status``: "ok", or "continuous-infeasible" (no
+    flows, objective ``None``) when no evaluated point was feasible.
     """
     sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
     pairs = [(r, s) for r in sel_r for s in sel_s]
-    bounds = [
+    bounds = tuple(
         (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
         for r, s in pairs
-    ]
+    )
     beta_s = {s: space.beta[s][cation][anion] for s in sel_s}
     fixed_cost = sum(space.c_fixed[u] for u in sel_r + sel_s)
     tol = 1e-9
@@ -590,42 +593,37 @@ def il_continuous_solve(
             return False
         return level <= tol or level >= space.f_lower[unit] - tol
 
-    def evaluate(x) -> float:
+    def evaluate(_fixed, x) -> tuple[float, str]:
         if (x < -tol).any():
-            return math.inf
+            return math.inf, "negative flow"
         feed, intake = throughputs(x)
-        for r in sel_r:
-            if not admissible(feed[r], r):
-                return math.inf
-        for s in sel_s:
-            if not admissible(intake[s], s):
-                return math.inf
+        for levels in (feed, intake):
+            for unit, level in levels.items():
+                if not admissible(level, unit):
+                    return math.inf, "throughput outside its window"
         recovered = sum(beta_s[s] * intake[s] for s in sel_s)
         if recovered < space.demand - tol:
-            return math.inf
+            return math.inf, "demand shortfall"
         value = fixed_cost
         for r in sel_r:
             value += space.c_invest[r] * feed[r] ** 0.6
         for s in sel_s:
             value += (space.c_invest[s] * intake[s] ** 0.6
                       + space.c_energy[s] * intake[s])
-        return value
+        return value, "ok"
 
-    best_x, best_val, evals = pattern_search(
-        evaluate, bounds, seed=seed, starts=starts,
-        stop_mesh=stop_mesh, budget=budget)
-    if best_x is None or not math.isfinite(best_val):
+    result = run_blackbox(BlackBoxObjective(evaluate, bounds, budget), fixed,
+                          seed, starts=starts)
+    evals = result["evaluations"]
+    if result["status"] != "ok":
         return {"flows": {}, "objective": None,
                 "status": "continuous-infeasible", "evaluations": evals}
+    best_x = result["best_params"]
     feed, intake = throughputs(best_x)
-    flows = {}
-    for r in sel_r:
-        flows[f"src->{r}"] = float(feed[r])
-    for (r, s), v in zip(pairs, best_x):
-        flows[f"{r}->{s}"] = float(v)
-    for s in sel_s:
-        flows[f"{s}->out"] = float(beta_s[s] * intake[s])
-    return {"flows": flows, "objective": best_val, "status": "ok",
+    flows = {f"src->{r}": float(feed[r]) for r in sel_r}
+    flows.update({f"{r}->{s}": float(v) for (r, s), v in zip(pairs, best_x)})
+    flows.update({f"{s}->out": float(beta_s[s] * intake[s]) for s in sel_s})
+    return {"flows": flows, "objective": result["best_score"], "status": "ok",
             "evaluations": evals}
 
 
@@ -644,26 +642,31 @@ class BlackBoxObjective:
 
 
 def run_blackbox(objective: BlackBoxObjective, fixed, seed=None, *,
-                 starts: int = 20, stop_mesh: float = 1e-6) -> dict:
-    """Optimize one black-box configuration with pattern search."""
-    last_failure: list = [None]
+                 starts: int = 20) -> dict:
+    """Optimize one black-box configuration with :func:`pattern_search`.
+
+    A status other than "ok" bars the point with an infinite value;
+    ``last_failure`` is ``(params, status)`` of the last barred point.
+    """
+    last_x = last_status = None
 
     def barrier(x: np.ndarray) -> float:
+        nonlocal last_x, last_status
         score, status = objective.evaluate(fixed, x)
         if status != "ok":
-            last_failure[0] = (tuple(float(v) for v in x), str(status))
+            last_x, last_status = x, status
             return math.inf
         return float(score)
 
     best_x, best_val, evals = pattern_search(
         barrier, objective.bounds, seed=seed, starts=starts,
-        stop_mesh=stop_mesh, budget=objective.budget)
-    if best_x is None or not math.isfinite(best_val):
-        return {"best_params": None, "best_score": None, "evaluations": evals,
-                "status": "no-feasible-evaluation", "last_failure": last_failure[0]}
-    return {"best_params": tuple(float(v) for v in best_x),
-            "best_score": best_val, "evaluations": evals, "status": "ok",
-            "last_failure": last_failure[0]}
+        budget=objective.budget)
+    ok = best_x is not None and math.isfinite(best_val)
+    return {"best_params": tuple(float(v) for v in best_x) if ok else None,
+            "best_score": best_val if ok else None, "evaluations": evals,
+            "status": "ok" if ok else "no-feasible-evaluation",
+            "last_failure": None if last_x is None else
+            (tuple(float(v) for v in last_x), str(last_status))}
 
 
 def sweep_il(
@@ -672,34 +675,28 @@ def sweep_il(
     seed: int = 0,
     budget_per_config: int | None = None,
     starts: int = 20,
-    stop_mesh: float = 1e-6,
 ) -> list[dict]:
     """Both objectives for every feasible configuration.
 
-    Discrete objectives come from one exhaustive solve; each configuration
-    then gets its own continuous solve with a child seed derived from the
-    sweep seed and its position, so single configurations can be reproduced
-    without rerunning the sweep.  Rows are sorted by configuration id (the
-    projected bit string).
+    Branch and bound (``enumerate_all``) lists every feasible configuration
+    with its discrete objective; each then gets its own continuous solve
+    with a child seed derived from the sweep seed and its position, so
+    single configurations can be reproduced without rerunning the sweep.
+    Rows are sorted by configuration id (the projected bit string).
     """
     program = build_il_discrete(space)
-    oracle = brute_force(program)
-    entries = []
-    for rec in oracle.records:
-        config_id = "".join(str(b) for b in program.project(rec.assignment))
-        entries.append((config_id, rec))
-    entries.sort(key=lambda e: e[0])
-
+    # projected bits sort like their config ids; no two configurations tie
+    configs = sorted((program.project(rec.assignment), rec.objective)
+                     for rec in branch_and_bound(program, "enumerate_all").records)
     rows = []
-    for pos, (config_id, rec) in enumerate(entries):
-        fixed = dict(zip(program.projection, program.project(rec.assignment)))
+    for pos, (bits, discrete_objective) in enumerate(configs):
         child_seed = np.random.SeedSequence(entropy=seed, spawn_key=(pos,))
         result = il_continuous_solve(
-            space, fixed, seed=child_seed, budget=budget_per_config,
-            starts=starts, stop_mesh=stop_mesh)
+            space, dict(zip(program.projection, bits)), seed=child_seed,
+            budget=budget_per_config, starts=starts)
         rows.append({
-            "config_id": config_id,
-            "discrete_objective": rec.objective,
+            "config_id": "".join(map(str, bits)),
+            "discrete_objective": discrete_objective,
             "continuous_objective": result["objective"],
             "status": result["status"],
         })

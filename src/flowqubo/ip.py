@@ -12,7 +12,6 @@ are enumerated or compared.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +22,7 @@ from .errors import (
     json_list,
     json_names,
     read_json,
+    write_json,
 )
 
 __all__ = [
@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 SENSES = ("=", "<=", ">=")
+
+
+def row_holds(sense: str, lhs, rhs: float, tol: float):
+    """Whether ``lhs <sense> rhs`` holds within ``tol``; elementwise for an
+    array ``lhs``."""
+    if sense == "=":
+        return abs(lhs - rhs) <= tol
+    if sense == "<=":
+        return lhs <= rhs + tol
+    return lhs >= rhs - tol
 
 
 def _check_products(products) -> tuple[tuple[str, str, float], ...]:
@@ -77,12 +87,7 @@ class Constraint:
         return total
 
     def satisfied(self, values: Mapping[str, int], tol: float = 1e-9) -> bool:
-        lhs = self.value(values)
-        if self.sense == "=":
-            return abs(lhs - self.rhs) <= tol
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol
-        return lhs >= self.rhs - tol
+        return row_holds(self.sense, self.value(values), self.rhs, tol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,9 +236,7 @@ class BinaryProgram:
             raise ModelError(f"malformed program JSON: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "BinaryProgram":

@@ -290,7 +290,9 @@ def build_ttt_report(
     if optimal_target is not None:
         p_opt = estimate_success(samples, optimal_target).p
         if tau is not None:
-            ttt_opt = ttt(tau, p_opt, s)
+            # tau times the whole batch of reads, so the hit rate is per batch,
+            # as the bootstrap p_feas already is
+            ttt_opt = ttt(tau, 1.0 - (1.0 - p_opt) ** samples.num_reads, s)
     if feasible_target is not None:
         p_feas = estimate_success(samples, feasible_target).p
         if tau is not None:

@@ -11,7 +11,6 @@ any state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -25,6 +24,7 @@ from .errors import (
     json_list,
     json_names,
     read_json,
+    write_json,
 )
 
 __all__ = ["QuboModel", "IsingModel", "qubo_to_ising", "ising_to_qubo"]
@@ -166,9 +166,7 @@ class QuboModel:
         return cls.from_terms(num_vars, terms, offset, names)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "QuboModel":

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-9
+# verify reports at most this many exactness and dominance failures each
+_MAX_FAILURES = 20
 
 
 def default_penalty(program: BinaryProgram) -> float:
@@ -236,6 +238,18 @@ def _slack_range(con: Constraint, label: str) -> int:
     return span
 
 
+def _merged_pairs(con: Constraint,
+                  index: Mapping[str, int]) -> dict[tuple[int, int], float]:
+    """One summed coefficient per product pair of ``con``, keyed by the
+    index-ordered pair; pairs that sum to zero are dropped."""
+    pairs: dict[tuple[int, int], float] = {}
+    for u, v, q in con.products:
+        iu, iv = index[u], index[v]
+        key = (min(iu, iv), max(iu, iv))
+        pairs[key] = pairs.get(key, 0.0) + q
+    return {key: q for key, q in pairs.items() if q != 0.0}
+
+
 def reformulate(
     program: BinaryProgram,
     rho: float | None = None,
@@ -267,16 +281,7 @@ def reformulate(
     index = {name: i for i, name in enumerate(program.var_names)}
     normalized = tuple(normalize_constraint(con) for con in program.constraints)
 
-    # one merged coefficient per product pair per constraint, keyed by the
-    # index-ordered pair
-    con_pairs: list[dict[tuple[int, int], float]] = []
-    for con in normalized:
-        pairs: dict[tuple[int, int], float] = {}
-        for u, v, q in con.products:
-            iu, iv = index[u], index[v]
-            key = (min(iu, iv), max(iu, iv))
-            pairs[key] = pairs.get(key, 0.0) + q
-        con_pairs.append({k: q for k, q in pairs.items() if q != 0.0})
+    con_pairs = [_merged_pairs(con, index) for con in normalized]
 
     all_pairs = sorted({key for pairs in con_pairs for key in pairs})
     names = list(program.var_names)
@@ -388,11 +393,6 @@ class _ScanTables:
         self.rows = []
         for ci, con in enumerate(reform.normalized):
             group = reform.slack_groups[ci]
-            pair_coeffs = {}
-            for u, v, q in con.products:
-                iu, iv = index[u], index[v]
-                key = (min(iu, iv), max(iu, iv))
-                pair_coeffs[key] = pair_coeffs.get(key, 0.0) + q
             self.rows.append({
                 # lhs - rhs of the linear part, before slack and auxiliaries
                 "residual": _linear_form(norm_program, con.linear, const=-con.rhs),
@@ -400,8 +400,8 @@ class _ScanTables:
                 "weight": reform.constraint_weight(con.label),
                 "max_slack": (1 << len(group.indices)) - 1,
                 "slack_indices": group.indices,
-                "pair_pos": [(pair_pos[key], q) for key, q in pair_coeffs.items()
-                             if q != 0.0],
+                "pair_pos": [(pair_pos[key], q)
+                             for key, q in _merged_pairs(con, index).items()],
             })
 
         # connected components of pairs coupled through shared constraints
@@ -521,7 +521,6 @@ def verify(
     source_limit: int = 24,
     group_limit: int = 16,
     tol: float = 1e-9,
-    max_failures: int = 20,
 ) -> VerificationReport:
     """Exhaustively certify exactness and penalty dominance.
 
@@ -571,7 +570,7 @@ def verify(
         feasible_opt = min(feasible_opt, float(obj.min()))
         feasible_min_energy = min(feasible_min_energy, float(energy.min()))
         for local in np.nonzero(np.abs(energy - obj) > tol)[0]:
-            if len(exactness) >= max_failures:
+            if len(exactness) >= _MAX_FAILURES:
                 break
             exactness.append((_bits_of(int(codes[local]), n), float(energy[local]),
                               float(obj[local])))
@@ -593,7 +592,7 @@ def verify(
             flagged = infeasible & (energy <= feasible_opt + tol)
             dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
                                                     codes[flagged].tolist())))
-            del dominance[max_failures:]
+            del dominance[_MAX_FAILURES:]
 
     full_bits = _complete_assignment(reform, scan, best_k)
     recomputed = reform.qubo.energy(full_bits)

@@ -23,7 +23,6 @@ externally produced sample files in the same JSON layout.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -39,8 +38,9 @@ from .errors import (
     SampleFormatError,
     SolverError,
     read_json,
+    write_json,
 )
-from .ip import BinaryProgram
+from .ip import BinaryProgram, row_holds
 from .qubo import QuboModel
 
 __all__ = [
@@ -59,6 +59,8 @@ _FEAS_TOL = 1e-9
 # Xeon a fresh process scanned il in 0.43 s this way, and in 1.1 s with 2^16
 # or 2^18 codes per chunk
 _CHUNK_BITS = 14
+# the oracle refuses programs and QUBOs with more variables than this
+_VAR_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,7 @@ class SampleSet:
             raise SampleFormatError(f"number out of float range: {exc}") from exc
 
     def save(self, path, include_tau: bool = True) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(include_tau=include_tau), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(include_tau=include_tau))
 
     @classmethod
     def load(cls, path) -> "SampleSet":
@@ -351,14 +351,6 @@ def _program_tables(program: BinaryProgram) -> ProgramTables:
     return ProgramTables(tuple(rows), objective)
 
 
-def _row_holds(sense: str, lhs: np.ndarray, rhs: float, tol: float) -> np.ndarray:
-    if sense == "=":
-        return np.abs(lhs - rhs) <= tol
-    if sense == "<=":
-        return lhs <= rhs + tol
-    return lhs >= rhs - tol
-
-
 def _feasible_codes(tables: ProgramTables, codes: np.ndarray,
                     tol: float = _FEAS_TOL) -> np.ndarray:
     """The codes among ``codes`` that satisfy every row, in their order.
@@ -370,14 +362,14 @@ def _feasible_codes(tables: ProgramTables, codes: np.ndarray,
     for lhs, sense, rhs in tables.rows:
         if not codes.size:
             break
-        codes = codes[_row_holds(sense, lhs.values(codes), rhs, tol)]
+        codes = codes[row_holds(sense, lhs.values(codes), rhs, tol)]
     return codes
 
 
 # -- exhaustive oracle --------------------------------------------------------
 
 
-def brute_force(model, *, limit: int | None = None, var_limit: int = 24,
+def brute_force(model, *, limit: int | None = None,
                 chunk_bits: int = _CHUNK_BITS) -> SampleSet:
     """Exhaustive oracle.
 
@@ -391,19 +383,22 @@ def brute_force(model, *, limit: int | None = None, var_limit: int = 24,
     ``2^chunk_bits``.  For a program every code is checked row by row,
     equality rows first, each row on the survivors of the rows before it;
     the objective is evaluated only on the codes that survive every row.
+    More than ``_VAR_LIMIT`` (24) variables raise
+    :class:`~flowqubo.errors.ExhaustiveLimitError`.
     """
-    if isinstance(model, QuboModel):
-        return _brute_force_qubo(model, limit, var_limit, chunk_bits)
-    if isinstance(model, BinaryProgram):
-        return _brute_force_program(model, var_limit, chunk_bits)
-    raise TypeError(f"brute_force expects QuboModel or BinaryProgram, got {type(model)!r}")
-
-
-def _brute_force_qubo(qubo: QuboModel, limit, var_limit, chunk_bits) -> SampleSet:
-    n = qubo.num_vars
-    if n > var_limit:
+    if not isinstance(model, (QuboModel, BinaryProgram)):
+        raise TypeError(
+            f"brute_force expects QuboModel or BinaryProgram, got {type(model)!r}")
+    if model.num_vars > _VAR_LIMIT:
         raise ExhaustiveLimitError(
-            f"{n} variables exceed the exhaustive bound of {var_limit}")
+            f"{model.num_vars} variables exceed the exhaustive bound of {_VAR_LIMIT}")
+    if isinstance(model, QuboModel):
+        return _brute_force_qubo(model, limit, chunk_bits)
+    return _brute_force_program(model, chunk_bits)
+
+
+def _brute_force_qubo(qubo: QuboModel, limit, chunk_bits) -> SampleSet:
+    n = qubo.num_vars
     t0 = time.perf_counter()
     kept_k: list[np.ndarray] = []
     kept_e: list[np.ndarray] = []
@@ -427,11 +422,8 @@ def _brute_force_qubo(qubo: QuboModel, limit, var_limit, chunk_bits) -> SampleSe
     return SampleSet(records=tuple(records), solver="oracle", tau=tau, seed=None)
 
 
-def _brute_force_program(program: BinaryProgram, var_limit, chunk_bits) -> SampleSet:
+def _brute_force_program(program: BinaryProgram, chunk_bits) -> SampleSet:
     n = program.num_vars
-    if n > var_limit:
-        raise ExhaustiveLimitError(
-            f"{n} variables exceed the exhaustive bound of {var_limit}")
     t0 = time.perf_counter()
     tables = _program_tables(program)
     proj_names = program.projection or program.var_names

@@ -232,7 +232,6 @@ def test_pattern_search_barrier_handles_all_infeasible():
     {"bounds": []},
     {"bounds": [(1.0, 0.0)]},
     {"bounds": [(0.0, 1.0)], "budget": 0},
-    {"bounds": [(0.0, 1.0)], "shrink": 1.0},
 ])
 def test_pattern_search_validates_arguments(kwargs):
     bounds = kwargs.pop("bounds")
@@ -333,7 +332,10 @@ def test_run_blackbox_optimizes_stub():
 
 
 def test_run_blackbox_reports_failures():
+    seen = []
+
     def evaluate(fixed, params):
+        seen.append(tuple(float(v) for v in params))
         return 0.0, "solver crashed"
 
     objective = BlackBoxObjective(evaluate=evaluate, bounds=((0.0, 1.0),),
@@ -343,6 +345,8 @@ def test_run_blackbox_reports_failures():
     assert out["best_params"] is None
     assert out["best_score"] is None
     assert out["last_failure"][1] == "solver crashed"
+    assert len(seen) == out["evaluations"] == 10
+    assert out["last_failure"][0] == seen[-1]
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -379,3 +383,14 @@ def test_sweep_rows_are_sorted_and_reproducible():
     assert len(rows) == 3    # R1, R2, or both
     again = sweep_il(space, seed=9, budget_per_config=80, starts=3)
     assert rows == again
+
+
+def test_sweep_configurations_match_the_oracle(il_space, il_oracle):
+    # the sweep lists its configurations by branch and bound; the oracle is
+    # the independent reference for which ones exist and what they cost
+    program = build_il_discrete(il_space)
+    expected = sorted(
+        ("".join(map(str, program.project(rec.assignment))), rec.objective)
+        for rec in il_oracle.records)
+    rows = sweep_il(il_space, seed=0, budget_per_config=50)
+    assert [(r["config_id"], r["discrete_objective"]) for r in rows] == expected

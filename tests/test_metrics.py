@@ -274,12 +274,26 @@ def test_build_ttt_report_fields():
         feasible_target=AllFeasibleTarget(reference=reference, program=prog))
     assert report.p_opt == pytest.approx(0.25)
     assert report.p_feas == 1.0
-    assert report.ttt_opt == pytest.approx(ttt(0.5, 0.25, 0.99))
+    # tau times the batch of 4 reads, so the hit rate is per batch too
+    assert report.ttt_opt == pytest.approx(ttt(0.5, 1 - 0.75 ** 4, 0.99))
     assert report.ttt_feas == 0.5
     assert report.coverage_found == 2
     assert report.coverage_total == 2
     assert report.tau == 0.5
     assert report.solver == "sa"
+
+
+def test_ttt_opt_uses_the_batch_hit_rate():
+    # 5 optimal reads in 1000: one batch of tau 2.32 s already reaches the
+    # optimum with more than 99% confidence, so ttt_opt is one batch, not
+    # ttt(2.32, 0.005) = 2132 s
+    ss = _samples([
+        SampleRecord((0,), 0.0, occurrences=5),
+        SampleRecord((1,), 1.0, occurrences=995),
+    ], tau=2.32)
+    report = build_ttt_report(ss, optimal_target=OptimalityTarget(energy=0.0))
+    assert report.p_opt == pytest.approx(0.005)
+    assert report.ttt_opt == 2.32
 
 
 def test_build_ttt_report_without_tau_leaves_ttt_unset():
@@ -304,7 +318,7 @@ def test_write_ttt_csv_golden(tmp_path):
     write_ttt_csv(reports, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "solver,tau,ttopt99,ttfeas99,coverage"
-    assert lines[1] == f"sa,2.0,{ttt(2.0, 0.5, 0.99)},-,-"
+    assert lines[1] == f"sa,2.0,{ttt(2.0, 0.75, 0.99)},-,-"
     assert lines[2] == "bb,-,-,-,-"
 
 
