@@ -192,8 +192,10 @@ class BinaryProgram:
         return not self.violations(assignment, tol)
 
     def project(self, assignment: Sequence[int]) -> tuple[int, ...]:
+        """The bits of the projection variables; all of them when the
+        projection is empty."""
         values = self.as_map(assignment)
-        return tuple(values[name] for name in self.projection)
+        return tuple(values[name] for name in self.projection or self.var_names)
 
     def with_constraints(self, extra: Iterable[Constraint]) -> "BinaryProgram":
         return BinaryProgram(

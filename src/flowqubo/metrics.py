@@ -113,9 +113,7 @@ def _record_key(assignment: tuple[int, ...], program: BinaryProgram):
     """Projected configuration key; accepts full or already projected bits."""
     proj = program.projection or program.var_names
     if len(assignment) == program.num_vars:
-        if program.projection:
-            return program.project(assignment)
-        return tuple(assignment)
+        return program.project(assignment)
     if len(assignment) == len(proj):
         return tuple(assignment)
     raise ModelError(

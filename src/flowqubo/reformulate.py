@@ -34,10 +34,12 @@ from .errors import (
 from .ip import BinaryProgram, Constraint, normalize_constraint
 from .qubo import QuboModel
 from .solvers import (
+    _VAR_LIMIT,
     SampleRecord,
     SampleSet,
     _bits_of,
     _code_chunks,
+    _code_shifts,
     _feasible_codes,
     _linear_form,
     _program_tables,
@@ -291,11 +293,9 @@ def reformulate(
         names.append(f"aux[{program.var_names[i]}*{program.var_names[j]}]")
 
     slack_groups: list[SlackGroup] = []
-    slack_layout: list[tuple[int, ...]] = []
     for ci, con in enumerate(normalized):
         if con.sense == "=":
             slack_groups.append(SlackGroup(ci, con.label, con.sense, (), (), 0))
-            slack_layout.append(())
             continue
         span = _slack_range(con, con.label)
         bits = span.bit_length()
@@ -307,7 +307,6 @@ def reformulate(
         weights = tuple(1 << k for k in range(bits))
         slack_groups.append(SlackGroup(ci, con.label, con.sense,
                                        tuple(indices), weights, sign))
-        slack_layout.append(tuple(indices))
 
     terms: dict[tuple[int, int], float] = {}
     offset = program.objective_constant
@@ -387,6 +386,7 @@ class _ScanTables:
         self.tables = _program_tables(norm_program)
 
         index = {name: i for i, name in enumerate(program.var_names)}
+        shift = _code_shifts(program)
         self.pairs = sorted(reform.aux_products)          # [(i, j)]
         pair_pos = {p: k for k, p in enumerate(self.pairs)}
 
@@ -395,7 +395,7 @@ class _ScanTables:
             group = reform.slack_groups[ci]
             self.rows.append({
                 # lhs - rhs of the linear part, before slack and auxiliaries
-                "residual": _linear_form(norm_program, con.linear, const=-con.rhs),
+                "residual": _linear_form(shift, con.linear, const=-con.rhs),
                 "sense": con.sense,
                 "weight": reform.constraint_weight(con.label),
                 "max_slack": (1 << len(group.indices)) - 1,
@@ -518,7 +518,7 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
 def verify(
     reform: Reformulation,
     *,
-    source_limit: int = 24,
+    source_limit: int = _VAR_LIMIT,
     group_limit: int = 16,
     tol: float = 1e-9,
 ) -> VerificationReport:

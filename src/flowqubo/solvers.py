@@ -309,6 +309,16 @@ class LinearForm(NamedTuple):
             out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
         return out
 
+    def value(self, code: int) -> float:
+        """:meth:`values` of one int code, summed in the same order, so the
+        two agree bit for bit; the code may be wider than 64 bits."""
+        total = self.const
+        for shift, coeff in self.terms:
+            total += coeff * ((code >> shift) & 1)
+        for shift_u, shift_v, coeff in self.products:
+            total += coeff * ((code >> shift_u) & (code >> shift_v) & 1)
+        return total
+
     def floor(self) -> float:
         """The least value over all codes, summed in the order of :meth:`values`.
 
@@ -323,11 +333,15 @@ class LinearForm(NamedTuple):
         return total
 
 
-def _linear_form(program: BinaryProgram, linear: Mapping[str, float],
+def _code_shifts(program: BinaryProgram) -> dict[str, int]:
+    """Each variable's shift in a code: variable 0 is the most significant bit."""
+    n = program.num_vars
+    return {name: n - 1 - i for i, name in enumerate(program.var_names)}
+
+
+def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
                  products: Iterable[tuple[str, str, float]] = (),
                  const: float = 0.0) -> LinearForm:
-    n = program.num_vars
-    shift = {name: n - 1 - i for i, name in enumerate(program.var_names)}
     return LinearForm(
         float(const),
         tuple((shift[name], coeff) for name, coeff in linear.items() if coeff),
@@ -342,11 +356,12 @@ class ProgramTables(NamedTuple):
 
 
 def _program_tables(program: BinaryProgram) -> ProgramTables:
-    rows = [(_linear_form(program, con.linear, con.products), con.sense, con.rhs)
+    shift = _code_shifts(program)
+    rows = [(_linear_form(shift, con.linear, con.products), con.sense, con.rhs)
             for con in program.constraints]
     # equality rows reject the most codes, so they run first
     rows.sort(key=lambda row: row[1] != "=")
-    objective = _linear_form(program, program.objective, program.objective_products,
+    objective = _linear_form(shift, program.objective, program.objective_products,
                              program.objective_constant)
     return ProgramTables(tuple(rows), objective)
 
@@ -632,143 +647,6 @@ def _anneal(w: np.ndarray, bounds: np.ndarray, betas: np.ndarray,
 # -- branch and bound ---------------------------------------------------------
 
 
-class _BbState:
-    """Incremental bound bookkeeping for one program.
-
-    Row ``m`` (the last one) tracks the objective; rows 0..m-1 track
-    constraint left-hand sides.  Each row keeps a [lo, hi] interval over all
-    completions of the current partial assignment, updated in O(occurrences)
-    per variable fix with an undo journal.
-    """
-
-    def __init__(self, program: BinaryProgram):
-        n = program.num_vars
-        index = {name: i for i, name in enumerate(program.var_names)}
-        cons = program.constraints
-        m = len(cons)
-        self.obj_row = m
-        rows = m + 1
-
-        self.lin_occ: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.prod_occ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.prods: list[list[tuple[int, int, float]]] = [[] for _ in range(rows)]
-        self.senses = [con.sense for con in cons]
-        self.rhs = [con.rhs for con in cons]
-        self.lo = [0.0] * rows
-        self.hi = [0.0] * rows
-
-        def add_linear(row: int, var: int, coeff: float) -> None:
-            if coeff == 0.0:
-                return
-            self.lin_occ[var].append((row, coeff))
-            self.lo[row] += min(0.0, coeff)
-            self.hi[row] += max(0.0, coeff)
-
-        def add_product(row: int, u: int, v: int, coeff: float) -> None:
-            if coeff == 0.0:
-                return
-            pidx = len(self.prods[row])
-            self.prods[row].append((u, v, coeff))
-            self.prod_occ[u].append((row, pidx))
-            self.prod_occ[v].append((row, pidx))
-            self.lo[row] += min(0.0, coeff)
-            self.hi[row] += max(0.0, coeff)
-
-        for ci, con in enumerate(cons):
-            for name, coeff in con.linear.items():
-                add_linear(ci, index[name], coeff)
-            for u, v, coeff in con.products:
-                add_product(ci, index[u], index[v], coeff)
-        for name, coeff in program.objective.items():
-            add_linear(self.obj_row, index[name], coeff)
-        for u, v, coeff in program.objective_products:
-            add_product(self.obj_row, index[u], index[v], coeff)
-        self.lo[self.obj_row] += program.objective_constant
-        self.hi[self.obj_row] += program.objective_constant
-
-        self.prod_state: dict[tuple[int, int], tuple[float, float]] = {}
-        for row in range(rows):
-            for pidx, (_, _, coeff) in enumerate(self.prods[row]):
-                self.prod_state[(row, pidx)] = (min(0.0, coeff), max(0.0, coeff))
-        self.values = [-1] * n
-
-        # exact leaf objective without dict round-trips
-        self.obj_lin = [0.0] * n
-        for name, coeff in program.objective.items():
-            self.obj_lin[index[name]] += coeff
-        self.obj_prods = [(index[u], index[v], q)
-                          for u, v, q in program.objective_products]
-        self.obj_const = program.objective_constant
-
-    def leaf_objective(self, bits) -> float:
-        total = self.obj_const
-        for i, coeff in enumerate(self.obj_lin):
-            if coeff and bits[i]:
-                total += coeff
-        for u, v, coeff in self.obj_prods:
-            if bits[u] and bits[v]:
-                total += coeff
-        return total
-
-    def assign(self, var: int, value: int):
-        """Fix ``var`` to ``value``; returns (journal, touched rows)."""
-        self.values[var] = value
-        journal = []
-        touched = []
-        for row, coeff in self.lin_occ[var]:
-            dlo = coeff * value - min(0.0, coeff)
-            dhi = coeff * value - max(0.0, coeff)
-            self.lo[row] += dlo
-            self.hi[row] += dhi
-            journal.append((row, dlo, dhi, None, None))
-            touched.append(row)
-        for row, pidx in self.prod_occ[var]:
-            u, v, coeff = self.prods[row][pidx]
-            xu, xv = self.values[u], self.values[v]
-            if xu == 0 or xv == 0:
-                interval = (0.0, 0.0)
-            elif xu == 1 and xv == 1:
-                interval = (coeff, coeff)
-            else:
-                interval = (min(0.0, coeff), max(0.0, coeff))
-            key = (row, pidx)
-            old = self.prod_state[key]
-            if interval != old:
-                dlo = interval[0] - old[0]
-                dhi = interval[1] - old[1]
-                self.lo[row] += dlo
-                self.hi[row] += dhi
-                self.prod_state[key] = interval
-                journal.append((row, dlo, dhi, key, old))
-            touched.append(row)
-        return journal, touched
-
-    def undo(self, var: int, journal) -> None:
-        self.values[var] = -1
-        for row, dlo, dhi, key, old in reversed(journal):
-            self.lo[row] -= dlo
-            self.hi[row] -= dhi
-            if key is not None:
-                self.prod_state[key] = old
-
-    def rows_consistent(self, touched) -> bool:
-        for row in touched:
-            if row == self.obj_row:
-                continue
-            sense = self.senses[row]
-            b = self.rhs[row]
-            if sense == "=":
-                if self.lo[row] > b + _FEAS_TOL or self.hi[row] < b - _FEAS_TOL:
-                    return False
-            elif sense == "<=":
-                if self.lo[row] > b + _FEAS_TOL:
-                    return False
-            else:
-                if self.hi[row] < b - _FEAS_TOL:
-                    return False
-        return True
-
-
 def _bb_search(program: BinaryProgram,
                key_idx: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
     """The one depth-first search: declaration-order branching, 1-branch first.
@@ -777,42 +655,110 @@ def _bb_search(program: BinaryProgram,
     lexicographically smallest assignment, per key of the variables at
     ``key_idx``, and returns the kept ``(objective, assignment)`` pairs in
     ascending order.  With no key variables every leaf competes for one
-    slot, so subtrees whose objective bound exceeds the best leaf so far
-    are pruned; otherwise the whole feasible tree is walked.  The walk uses
-    an explicit stack, so its depth is not bounded by the recursion limit.
+    slot, so subtrees whose objective bound exceeds the best leaf so far by
+    more than rounding can explain are pruned; otherwise the whole feasible
+    tree is walked.  The walk uses an explicit stack, so its depth is not
+    bounded by the recursion limit.
+
+    The search reads the oracle's compiled rows (:func:`_program_tables`),
+    the objective as the last one, and keeps a ``[lo, hi]`` interval per
+    row over all completions of the current partial assignment.  A term
+    spans ``[min(0, c), max(0, c)]`` until decided.  Branching follows
+    declaration order, so a product is decided by its earlier variable
+    fixed to 0, or by its later one once the earlier one is 1.  Before a
+    variable is fixed, the intervals of its rows are saved, and
+    backtracking assigns them back.  Leaf objectives come from
+    :meth:`LinearForm.value`, so they are the oracle's floats bit for bit.
     """
-    state = _BbState(program)
     n = program.num_vars
+    tables = _program_tables(program)
+    forms = [lhs for lhs, _, _ in tables.rows] + [tables.objective]
+    obj_row = len(tables.rows)
+    upper = [rhs + _FEAS_TOL if sense != ">=" else math.inf
+             for _, sense, rhs in tables.rows]
+    lower = [rhs - _FEAS_TOL if sense != "<=" else -math.inf
+             for _, sense, rhs in tables.rows]
+
+    # per variable: (row, min(0, c), max(0, c)) of its linear terms, of the
+    # products where it is the earlier variable, and (earlier variable, row,
+    # min, max) of the products where it is the later one
+    linear: list[list] = [[] for _ in range(n)]
+    earlier: list[list] = [[] for _ in range(n)]
+    later: list[list] = [[] for _ in range(n)]
+    lo = [form.const for form in forms]
+    hi = list(lo)
+    for row, form in enumerate(forms):
+        for shift, c in form.terms:
+            linear[n - 1 - shift].append((row, min(0.0, c), max(0.0, c)))
+        for shift_u, shift_v, c in form.products:
+            u, v = sorted((n - 1 - shift_u, n - 1 - shift_v))
+            earlier[u].append((row, min(0.0, c), max(0.0, c)))
+            later[v].append((u, row, min(0.0, c), max(0.0, c)))
+        for *_, c in form.terms + form.products:
+            lo[row] += min(0.0, c)
+            hi[row] += max(0.0, c)
+    zero_moves = [linear[v] + earlier[v] for v in range(n)]
+    rows_of = [sorted({move[0] for move in zero_moves[v]}
+                      | {move[1] for move in later[v]}) for v in range(n)]
+    checks = [[row for row in rows if row != obj_row] for rows in rows_of]
+
+    # a bound and a leaf value sum the same k terms in different orders, so
+    # they may differ by about 3k * eps * sum|c| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., sec. 4.2); this slack covers
+    # that for k up to about a million
+    objective = tables.objective
+    slack = _FEAS_TOL * (abs(objective.const)
+                         + sum(abs(c) for *_, c in objective.terms + objective.products))
     prune_objective = not key_idx
+    incumbent = math.inf
     best: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
 
     # catches constraints that are violated before any variable is fixed,
     # including ones that reference no variables at all
-    if not state.rows_consistent(range(state.obj_row)):
+    if any(lo[row] > upper[row] or hi[row] < lower[row] for row in range(obj_row)):
         return []
     if n == 0:
-        return [(program.objective_constant, ())]
+        return [(objective.value(0), ())]
 
+    values = [0] * n
+    prefix = [0] * (n + 1)    # prefix[d] is the code of variables 0..d-1
+    saved: list[list] = []    # saved[d] holds (row, lo, hi) from before fixing d
     stack = [(0, 0), (0, 1)]  # (variable, value); the top is visited first
-    journals: list = []       # journals[i] undoes the fix of variable i
     while stack:
         depth, value = stack.pop()
-        while len(journals) > depth:
-            state.undo(len(journals) - 1, journals.pop())
-        journal, touched = state.assign(depth, value)
-        journals.append(journal)
-        if not state.rows_consistent(touched):
+        while len(saved) > depth:
+            for row, row_lo, row_hi in saved.pop():
+                lo[row] = row_lo
+                hi[row] = row_hi
+        saved.append([(row, lo[row], hi[row]) for row in rows_of[depth]])
+        values[depth] = value
+        prefix[depth + 1] = (prefix[depth] << 1) | value
+        # the terms this fix decides now narrow from [neg, pos] to value * c
+        moves = linear[depth] if value else zero_moves[depth]
+        if later[depth]:
+            moves = moves + [move[1:] for move in later[depth] if values[move[0]]]
+        if value:
+            for row, neg, pos in moves:
+                lo[row] += pos
+                hi[row] += neg
+        else:
+            for row, neg, pos in moves:
+                lo[row] -= neg
+                hi[row] -= pos
+        if any(lo[row] > upper[row] or hi[row] < lower[row] for row in checks[depth]):
             continue
-        if prune_objective and best and state.lo[state.obj_row] > best[()][0]:
+        if lo[obj_row] > incumbent:
             continue
         if depth + 1 == n:
             # every row was re-checked when its last variable was fixed,
             # so the leaf is feasible by construction
-            bits = tuple(state.values)
-            found = (state.leaf_objective(bits), bits)
+            bits = tuple(values)
+            found = (objective.value(prefix[n]), bits)
             key = tuple(bits[i] for i in key_idx)
             if key not in best or found < best[key]:
                 best[key] = found
+                if prune_objective:
+                    incumbent = found[0] + slack
         else:
             stack += ((depth + 1, 0), (depth + 1, 1))
     return sorted(best.values())
@@ -831,6 +777,11 @@ def branch_and_bound(program: BinaryProgram, mode: str = "optimal", *,
     projected-distinct feasible solution, in objective order; ``pool``
     does the same and keeps the ``pool_size`` best.  Ties always resolve
     to the lexicographically smallest assignment.
+
+    The search reads the rows the oracle compiles, and its objectives are
+    the oracle's floats bit for bit, so every mode returns exactly the
+    records of :func:`brute_force` (the best ones, for ``optimal`` and
+    ``pool``), with the same tie-breaks.
     """
     t0 = time.perf_counter()
     if mode not in _BB_SOLVERS:
@@ -840,8 +791,9 @@ def branch_and_bound(program: BinaryProgram, mode: str = "optimal", *,
     if mode == "optimal":
         found = _bb_search(program, ())
     else:
+        position = {name: i for i, name in enumerate(program.var_names)}
         over = program.projection or program.var_names
-        found = _bb_search(program, [program.index(name) for name in over])
+        found = _bb_search(program, [position[name] for name in over])
         if mode == "pool":
             found = found[:pool_size]
     records = [SampleRecord(assignment=bits, energy=obj, objective=obj, feasible=True)

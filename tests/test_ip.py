@@ -68,6 +68,11 @@ def test_program_objective_and_feasibility():
     assert prog.project((1, 0, 1)) == (1, 1)
 
 
+def test_empty_projection_projects_onto_all_variables():
+    prog = BinaryProgram(var_names=("a", "b"), objective={})
+    assert prog.project((1, 0)) == (1, 0)
+
+
 def test_program_objective_products():
     prog = BinaryProgram(
         var_names=("u", "v"),

@@ -642,7 +642,7 @@ def test_bb_agrees_with_oracle_on_random_programs(prog):
     oracle = brute_force(prog)
     bb = branch_and_bound(prog, "optimal")
     assert oracle.records, "witness keeps the program feasible"
-    assert bb.best().objective == pytest.approx(oracle.best().objective)
+    assert bb.best().objective == oracle.best().objective
     assert bb.best().assignment == oracle.best().assignment
     enum = branch_and_bound(prog, "enumerate_all")
     assert [r.assignment for r in enum.records] == \
@@ -657,6 +657,67 @@ def test_bb_exhaustive_modes_match_cut_loop_reference(prog):
     pool = branch_and_bound(prog, "pool", pool_size=2 ** prog.num_vars)
     assert [(r.assignment, r.objective) for r in enum.records] == reference
     assert [(r.assignment, r.objective) for r in pool.records] == reference
+
+
+@st.composite
+def tenths_programs(draw):
+    """Programs with coefficients in tenths, which binary floats cannot hold
+    exactly, so sums of them depend on their order; the objective dict comes
+    in shuffled order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    names = tuple(f"x{i}" for i in range(n))
+    tenths = st.integers(min_value=-15, max_value=15).map(lambda k: k / 10)
+    objective = dict(draw(st.permutations([(name, draw(tenths)) for name in names])))
+    cover = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    cons = [Constraint({name: 1.0 for name in cover}, ">=", 1.0, label="cover")]
+    if draw(st.booleans()):
+        lin = {name: draw(tenths) for name in names}
+        cons.append(Constraint(lin, "<=", sum(max(0.0, c) for c in lin.values()) / 2,
+                               label="budget"))
+    obj_products = ()
+    if draw(st.booleans()):
+        u, v = draw(st.permutations(names))[:2]
+        obj_products = ((u, v, draw(tenths)),)
+    projection = draw(st.lists(st.sampled_from(names), unique=True))
+    return BinaryProgram(var_names=names, objective=objective, constraints=tuple(cons),
+                         objective_products=obj_products, projection=tuple(projection))
+
+
+@given(tenths_programs())
+@settings(max_examples=200, deadline=None)
+def test_bb_objectives_and_ties_are_the_oracles_exactly(prog):
+    oracle = brute_force(prog)
+    enum = branch_and_bound(prog, "enumerate_all")
+    pool = branch_and_bound(prog, "pool", pool_size=2 ** prog.num_vars)
+    assert enum.records == oracle.records
+    assert pool.records == oracle.records
+    best = branch_and_bound(prog, "optimal").best()
+    if oracle.records:
+        assert (best.assignment, best.objective) == \
+            (oracle.best().assignment, oracle.best().objective)
+    else:
+        assert best is None
+
+
+def test_bb_optimal_keeps_the_earlier_of_two_tied_optima():
+    # the two optima, 0.1 each, must not lose the tie to rounding in the bound
+    prog = BinaryProgram(
+        var_names=("x0", "x1", "x2", "x3", "x4"),
+        objective={"x0": 0.1, "x2": 0.5, "x1": 0.1, "x3": 1.1, "x4": 0.4},
+        constraints=(Constraint({"x0": 1.0, "x1": 1.0}, ">=", 1.0),),
+        projection=("x0",))
+    assert brute_force(prog).best().assignment == (0, 1, 0, 0, 0)
+    assert branch_and_bound(prog, "optimal").best().assignment == (0, 1, 0, 0, 0)
+
+
+def test_bb_objectives_sum_in_the_oracles_order():
+    prog = BinaryProgram(
+        var_names=("x0", "x1", "x2", "x3"),
+        objective={"x2": 0.6, "x0": 0.1, "x3": 1.1, "x1": 0.6},
+        constraints=(Constraint({"x0": 1.0, "x1": 1.0}, ">=", 1.0),))
+    enum = {r.assignment: r.objective for r in branch_and_bound(prog, "enumerate_all").records}
+    assert enum[(1, 1, 0, 1)] == 1.8000000000000003
+    assert enum == {r.assignment: r.objective for r in brute_force(prog).records}
 
 
 def test_bb_search_depth_is_not_bounded_by_recursion():
