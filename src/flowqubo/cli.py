@@ -102,6 +102,8 @@ def _check_rho(args) -> None:
 
 def _effective_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ModelError("--seed must be non-negative")
         return args.seed
     seed = secrets.randbits(32)
     print(f"seed: {seed}")
@@ -255,6 +257,8 @@ def _cmd_sweep(args) -> int:
         return 2
     if args.budget is not None and args.budget < 1:
         raise ModelError("--budget must be at least 1")
+    if args.starts < 1:
+        raise ModelError("--starts must be at least 1")
     space = IlDesignSpace.load(args.params) if args.params else load_default_il_space()
     seed = _effective_seed(args)
     rows = sweep_il(space, seed=seed, budget_per_config=args.budget,

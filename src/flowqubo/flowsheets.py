@@ -452,7 +452,7 @@ def pattern_search(
     evaluated point is never modified afterwards.  With a budget, evaluation
     number ``budget`` is the last one; the evaluation sequence for a larger
     budget extends the one for a smaller, so more budget never worsens the
-    result.
+    result.  ``starts`` and ``budget`` must be at least 1.
 
     Returns ``(best_x, best_value, evaluations)`` with ``best_x = None``
     when no evaluation returned a finite value.
@@ -465,52 +465,58 @@ def pattern_search(
         raise ValueError("bounds must be finite with lower <= upper")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
 
     rng = np.random.default_rng(seed)
-    dim = lb.size
+    # the poll loop works on Python floats; func still gets a fresh ndarray
+    lo, hi = lb.tolist(), ub.tolist()
+    dim = len(lo)
     evals = 0
     best_val = math.inf
     best_x: np.ndarray | None = None
 
     limit = math.inf if budget is None else budget
 
-    def evaluate(point: np.ndarray) -> float:
+    def evaluate(point: list[float]) -> float:
         nonlocal evals, best_val, best_x
         if evals >= limit:
             raise _BudgetSpent
-        value = float(func(point))
+        arr = np.array(point)
+        value = float(func(arr))
         evals += 1
         if value < best_val:
             best_val = value
-            best_x = point.copy()
+            best_x = arr.copy()
         return value
 
     try:
         for start_index in range(starts):
-            x = (lb + ub) / 2.0 if start_index == 0 else rng.uniform(lb, ub)
-            fx = evaluate(x)
-            step = _INITIAL_STEP_FRAC * (ub - lb)
+            xs = ((lb + ub) / 2.0 if start_index == 0
+                  else rng.uniform(lb, ub)).tolist()
+            fx = evaluate(xs)
+            step = [_INITIAL_STEP_FRAC * (u - l) for l, u in zip(lo, hi)]
             while True:
                 accepted = False
                 for i in range(dim):
                     for sgn in (1.0, -1.0):
-                        cand_i = min(max(x[i] + sgn * step[i], lb[i]), ub[i])
-                        if cand_i == x[i]:
+                        cand_i = min(max(xs[i] + sgn * step[i], lo[i]), hi[i])
+                        if cand_i == xs[i]:
                             continue
-                        cand = x.copy()
+                        cand = xs.copy()
                         cand[i] = cand_i
                         fc = evaluate(cand)
                         if fc < fx:
-                            x, fx = cand, fc
+                            xs, fx = cand, fc
                             accepted = True
                             break
                     if accepted:
                         break
                 if accepted:
                     continue
-                if step.max() < _STOP_MESH:
+                if max(step) < _STOP_MESH:
                     break
-                step = step * _SHRINK
+                step = [s * _SHRINK for s in step]
     except _BudgetSpent:
         pass
     return best_x, best_val, evals
@@ -549,6 +555,74 @@ def _parse_selection(space: IlDesignSpace, fixed) -> tuple[list, list, str, str]
     return sel_r, sel_s, sel_c[0], sel_a[0]
 
 
+class _IlFlowTables:
+    """One il configuration compiled into flat lists of Python floats.
+
+    Search variables are the reactor-to-separator transfers, one per
+    (selected reactor, selected separator) pair in that order; reactor feeds
+    and separator intakes follow from them.  ``evaluate`` is the
+    :class:`BlackBoxObjective` evaluator of the configuration and works on
+    Python floats only; ``throughputs`` gives the feeds and intakes it uses.
+    """
+
+    tol = 1e-9
+
+    def __init__(self, space: IlDesignSpace, fixed) -> None:
+        sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
+        tol = self.tol
+        self.sel_r, self.sel_s = sel_r, sel_s
+        self.pairs = [(r, s) for r in sel_r for s in sel_s]
+        self.bounds = tuple(
+            (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
+            for r, s in self.pairs)
+        # per pair: (reactor index, separator index, conversion)
+        self.pair_rows = [(i, j, space.alpha[r])
+                          for i, r in enumerate(sel_r)
+                          for j in range(len(sel_s))]
+        # per unit, reactors then separators: a throughput is inadmissible
+        # above ``upper`` and strictly between the zero level and ``lower``
+        self.upper = [space.f_upper[u] + tol for u in sel_r + sel_s]
+        self.lower = [space.f_lower[u] - tol for u in sel_r + sel_s]
+        self.beta = [space.beta[s][cation][anion] for s in sel_s]
+        self.invest_r = [space.c_invest[r] for r in sel_r]
+        self.invest_s = [space.c_invest[s] for s in sel_s]
+        self.energy_s = [space.c_energy[s] for s in sel_s]
+        self.fixed_cost = sum(space.c_fixed[u] for u in sel_r + sel_s)
+        self.min_recovered = space.demand - tol
+
+    def throughputs(self, xs: Sequence[float]) -> tuple[list, list]:
+        feed = [0.0] * len(self.sel_r)
+        intake = [0.0] * len(self.sel_s)
+        for (i, j, alpha), v in zip(self.pair_rows, xs):
+            feed[i] += v / alpha
+            intake[j] += v
+        return feed, intake
+
+    def evaluate(self, _fixed, x: np.ndarray) -> tuple[float, str]:
+        xs = x.tolist()
+        tol = self.tol
+        lowest = min(xs)
+        if lowest < -tol:
+            return math.inf, "negative flow"
+        feed, intake = self.throughputs(xs)
+        for f, up, lo in zip(feed + intake, self.upper, self.lower):
+            if f > up or (f > tol and f < lo):
+                return math.inf, "throughput outside its window"
+        recovered = sum(b * f for b, f in zip(self.beta, intake))
+        if recovered < self.min_recovered:
+            return math.inf, "demand shortfall"
+        if lowest < 0.0 and min(feed + intake) < 0.0:
+            # a level in [-tol, 0) passes the window test; its 0.6 power is
+            # nan in IEEE arithmetic, where Python would give a complex number
+            return math.nan, "ok"
+        value = self.fixed_cost
+        for c, f in zip(self.invest_r, feed):
+            value += c * f ** 0.6
+        for c, e, f in zip(self.invest_s, self.energy_s, intake):
+            value += c * f ** 0.6 + e * f
+        return value, "ok"
+
+
 def il_continuous_solve(
     space: IlDesignSpace,
     fixed,
@@ -564,65 +638,26 @@ def il_continuous_solve(
     semicontinuous (zero or inside [f_lower, f_upper]) and the recovered
     product must meet the demand.  The objective adds fixed costs of the
     selected units, concave investment terms on throughputs, and a linear
-    energy term on separator intake.  The configuration fixes the search
-    box, so it is bound into the :class:`BlackBoxObjective` that
+    energy term on separator intake.  The configuration is compiled once
+    into the search box and evaluator of a :class:`BlackBoxObjective` that
     :func:`run_blackbox` optimizes.  Returns ``flows``, ``objective``,
     ``evaluations`` and ``status``: "ok", or "continuous-infeasible" (no
     flows, objective ``None``) when no evaluated point was feasible.
     """
-    sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
-    pairs = [(r, s) for r in sel_r for s in sel_s]
-    bounds = tuple(
-        (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
-        for r, s in pairs
-    )
-    beta_s = {s: space.beta[s][cation][anion] for s in sel_s}
-    fixed_cost = sum(space.c_fixed[u] for u in sel_r + sel_s)
-    tol = 1e-9
-
-    def throughputs(x):
-        feed = {r: 0.0 for r in sel_r}
-        intake = {s: 0.0 for s in sel_s}
-        for (r, s), v in zip(pairs, x):
-            feed[r] += v / space.alpha[r]
-            intake[s] += v
-        return feed, intake
-
-    def admissible(level, unit):
-        if level > space.f_upper[unit] + tol:
-            return False
-        return level <= tol or level >= space.f_lower[unit] - tol
-
-    def evaluate(_fixed, x) -> tuple[float, str]:
-        if (x < -tol).any():
-            return math.inf, "negative flow"
-        feed, intake = throughputs(x)
-        for levels in (feed, intake):
-            for unit, level in levels.items():
-                if not admissible(level, unit):
-                    return math.inf, "throughput outside its window"
-        recovered = sum(beta_s[s] * intake[s] for s in sel_s)
-        if recovered < space.demand - tol:
-            return math.inf, "demand shortfall"
-        value = fixed_cost
-        for r in sel_r:
-            value += space.c_invest[r] * feed[r] ** 0.6
-        for s in sel_s:
-            value += (space.c_invest[s] * intake[s] ** 0.6
-                      + space.c_energy[s] * intake[s])
-        return value, "ok"
-
-    result = run_blackbox(BlackBoxObjective(evaluate, bounds, budget), fixed,
-                          seed, starts=starts)
+    tables = _IlFlowTables(space, fixed)
+    result = run_blackbox(
+        BlackBoxObjective(tables.evaluate, tables.bounds, budget), fixed,
+        seed, starts=starts)
     evals = result["evaluations"]
     if result["status"] != "ok":
         return {"flows": {}, "objective": None,
                 "status": "continuous-infeasible", "evaluations": evals}
     best_x = result["best_params"]
-    feed, intake = throughputs(best_x)
-    flows = {f"src->{r}": float(feed[r]) for r in sel_r}
-    flows.update({f"{r}->{s}": float(v) for (r, s), v in zip(pairs, best_x)})
-    flows.update({f"{s}->out": float(beta_s[s] * intake[s]) for s in sel_s})
+    feed, intake = tables.throughputs(best_x)
+    flows = {f"src->{r}": f for r, f in zip(tables.sel_r, feed)}
+    flows.update({f"{r}->{s}": v for (r, s), v in zip(tables.pairs, best_x)})
+    flows.update({f"{s}->out": b * f
+                  for s, b, f in zip(tables.sel_s, tables.beta, intake)})
     return {"flows": flows, "objective": result["best_score"], "status": "ok",
             "evaluations": evals}
 
@@ -682,7 +717,10 @@ def sweep_il(
     with its discrete objective; each then gets its own continuous solve
     with a child seed derived from the sweep seed and its position, so
     single configurations can be reproduced without rerunning the sweep.
-    Rows are sorted by configuration id (the projected bit string).
+    Rows are sorted by configuration id (the projected bit string) and hold
+    ``config_id``, ``discrete_objective``, ``continuous_objective``,
+    ``status``, and ``evaluations``, the number of pattern-search
+    evaluations the continuous solve spent.
     """
     program = build_il_discrete(space)
     # projected bits sort like their config ids; no two configurations tie
@@ -699,5 +737,6 @@ def sweep_il(
             "discrete_objective": discrete_objective,
             "continuous_objective": result["objective"],
             "status": result["status"],
+            "evaluations": result["evaluations"],
         })
     return rows

@@ -249,6 +249,26 @@ def test_sweep_seeded_rerun_is_byte_identical(tmp_path, tiny_space_file, capsys)
     assert "on pareto front: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--starts", "0"), ("--starts", "-3"), ("--budget", "0"), ("--seed", "-1"),
+])
+def test_sweep_rejects_bad_search_arguments(tmp_path, tiny_space_file, capsys,
+                                            flag, value):
+    argv = ["sweep", "--case", "il", "--params", tiny_space_file,
+            "--seed", "5", "--out", str(tmp_path), flag, value]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "pareto.csv").exists()
+
+
+def test_solve_sa_rejects_negative_seed(tmp_path, tiny_space_file, capsys):
+    assert main(["solve", "--case", "il", "--params", tiny_space_file,
+                 "--solver", "sa", "--seed", "-1", "--reads", "2",
+                 "--sweeps", "2", "--out", str(tmp_path)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "samples.json").exists()
+
+
 def test_sweep_rejects_ds_case(tmp_path, capsys):
     assert main(["sweep", "--case", "ds", "--out", str(tmp_path)]) == 2
     assert "il case only" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowqubo import (
     BlackBoxObjective,
@@ -17,6 +19,14 @@ from flowqubo import (
     pattern_search,
     run_blackbox,
     sweep_il,
+)
+from flowqubo.flowsheets import (
+    _INITIAL_STEP_FRAC,
+    _SHRINK,
+    _STOP_MESH,
+    _BudgetSpent,
+    _IlFlowTables,
+    _parse_selection,
 )
 
 
@@ -39,6 +49,200 @@ def _single_path_space(**overrides):
 
 
 _SINGLE_SELECTION = {"y[R1]": 1, "y[S1]": 1, "z[c1]": 1, "z[a1]": 1}
+
+
+# -- references: the numpy poll loop and the dict evaluator ---------------------
+
+
+def _reference_pattern_search(func, bounds, *, seed=None, starts=20, budget=None):
+    """The pattern search with its poll scalars held as numpy values."""
+    lb = np.array([b[0] for b in bounds], dtype=float)
+    ub = np.array([b[1] for b in bounds], dtype=float)
+    rng = np.random.default_rng(seed)
+    dim = lb.size
+    evals = 0
+    best_val = math.inf
+    best_x = None
+    limit = math.inf if budget is None else budget
+
+    def evaluate(point):
+        nonlocal evals, best_val, best_x
+        if evals >= limit:
+            raise _BudgetSpent
+        value = float(func(point))
+        evals += 1
+        if value < best_val:
+            best_val = value
+            best_x = point.copy()
+        return value
+
+    try:
+        for start_index in range(starts):
+            x = (lb + ub) / 2.0 if start_index == 0 else rng.uniform(lb, ub)
+            fx = evaluate(x)
+            step = _INITIAL_STEP_FRAC * (ub - lb)
+            while True:
+                accepted = False
+                for i in range(dim):
+                    for sgn in (1.0, -1.0):
+                        cand_i = min(max(x[i] + sgn * step[i], lb[i]), ub[i])
+                        if cand_i == x[i]:
+                            continue
+                        cand = x.copy()
+                        cand[i] = cand_i
+                        fc = evaluate(cand)
+                        if fc < fx:
+                            x, fx = cand, fc
+                            accepted = True
+                            break
+                    if accepted:
+                        break
+                if accepted:
+                    continue
+                if step.max() < _STOP_MESH:
+                    break
+                step = step * _SHRINK
+    except _BudgetSpent:
+        pass
+    return best_x, best_val, evals
+
+
+def _reference_il_model(space, fixed):
+    """The il evaluator on dicts, fed numpy scalars by ``zip(pairs, x)``."""
+    sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
+    pairs = [(r, s) for r in sel_r for s in sel_s]
+    bounds = tuple(
+        (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
+        for r, s in pairs
+    )
+    beta_s = {s: space.beta[s][cation][anion] for s in sel_s}
+    fixed_cost = sum(space.c_fixed[u] for u in sel_r + sel_s)
+    tol = 1e-9
+
+    def throughputs(x):
+        feed = {r: 0.0 for r in sel_r}
+        intake = {s: 0.0 for s in sel_s}
+        for (r, s), v in zip(pairs, x):
+            feed[r] += v / space.alpha[r]
+            intake[s] += v
+        return feed, intake
+
+    def admissible(level, unit):
+        if level > space.f_upper[unit] + tol:
+            return False
+        return level <= tol or level >= space.f_lower[unit] - tol
+
+    def evaluate(_fixed, x):
+        if (x < -tol).any():
+            return math.inf, "negative flow"
+        feed, intake = throughputs(x)
+        for levels in (feed, intake):
+            for unit, level in levels.items():
+                if not admissible(level, unit):
+                    return math.inf, "throughput outside its window"
+        recovered = sum(beta_s[s] * intake[s] for s in sel_s)
+        if recovered < space.demand - tol:
+            return math.inf, "demand shortfall"
+        value = fixed_cost
+        for r in sel_r:
+            value += space.c_invest[r] * feed[r] ** 0.6
+        for s in sel_s:
+            value += (space.c_invest[s] * intake[s] ** 0.6
+                      + space.c_energy[s] * intake[s])
+        return value, "ok"
+
+    return pairs, bounds, beta_s, throughputs, evaluate
+
+
+def _reference_il_continuous_solve(space, fixed, *, seed=None, budget=None,
+                                   starts=20):
+    sel_r, sel_s, _, _ = _parse_selection(space, fixed)
+    pairs, bounds, beta_s, throughputs, evaluate = _reference_il_model(space, fixed)
+    result = run_blackbox(BlackBoxObjective(evaluate, bounds, budget), fixed,
+                          seed, starts=starts)
+    evals = result["evaluations"]
+    if result["status"] != "ok":
+        return {"flows": {}, "objective": None,
+                "status": "continuous-infeasible", "evaluations": evals}
+    best_x = result["best_params"]
+    feed, intake = throughputs(best_x)
+    flows = {f"src->{r}": float(feed[r]) for r in sel_r}
+    flows.update({f"{r}->{s}": float(v) for (r, s), v in zip(pairs, best_x)})
+    flows.update({f"{s}->out": float(beta_s[s] * intake[s]) for s in sel_s})
+    return {"flows": flows, "objective": result["best_score"], "status": "ok",
+            "evaluations": evals}
+
+
+_TOL = _IlFlowTables.tol
+_coeff = st.floats(0.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def _il_spaces(draw):
+    """A valid il design space and a valid selection on it.
+
+    The demand is a drawn share of the most the selection could recover at
+    its separators' upper limits, so that many draws have feasible flows.
+    """
+    reactors = tuple(f"R{i}" for i in range(draw(st.integers(1, 2))))
+    separators = tuple(f"S{i}" for i in range(draw(st.integers(1, 3))))
+    cations = tuple(f"c{i}" for i in range(draw(st.integers(1, 2))))
+    anions = tuple(f"a{i}" for i in range(draw(st.integers(1, 2))))
+    units = reactors + separators
+    f_lower, f_upper = {}, {}
+    for u in units:
+        lower = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0))
+        f_lower[u] = lower
+        f_upper[u] = lower + draw(st.sampled_from([4.0, 10.0])
+                                  | st.floats(0.0, 15.0))
+    beta = {s: {c: {a: draw(st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0))
+                    for a in anions} for c in cations} for s in separators}
+    picked_r = draw(st.lists(st.sampled_from(reactors), min_size=1, unique=True))
+    picked_s = draw(st.lists(st.sampled_from(separators), min_size=1, unique=True))
+    cation, anion = draw(st.sampled_from(cations)), draw(st.sampled_from(anions))
+    reach = sum(beta[s][cation][anion] * f_upper[s] for s in picked_s)
+    share = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.2))
+    space = IlDesignSpace(
+        reactors=reactors, separators=separators, cations=cations, anions=anions,
+        c_fixed={u: draw(_coeff) for u in units},
+        c_oper_reactor={r: draw(_coeff) for r in reactors},
+        c_oper_separator={s: draw(_coeff) for s in separators},
+        c_invest={u: draw(_coeff) for u in units},
+        c_energy={s: draw(_coeff) for s in separators},
+        alpha={r: draw(st.sampled_from([1.0, 0.8]) | st.floats(0.05, 1.0))
+               for r in reactors},
+        beta=beta, f_lower=f_lower, f_upper=f_upper,
+        demand=share * reach if share * reach > 0.0 else 0.5,
+    )
+    selection = {f"y[{u}]": 1 for u in picked_r + picked_s}
+    selection[f"z[{cation}]"] = 1
+    selection[f"z[{anion}]"] = 1
+    return space, selection
+
+
+@st.composite
+def _il_points(draw, space, bounds, pairs):
+    """Points on and around the window edges of every pair's units.
+
+    Entries in [-tol, 0) are left out: they pass the negativity test, lie
+    outside every search box, and raise a negative level to the power 0.6.
+    Half the points send flow down one pair only, so that single units sit
+    exactly on their edges.
+    """
+    point = []
+    single = draw(st.none() | st.integers(0, len(pairs) - 1))
+    for k, ((r, s), (_, ub)) in enumerate(zip(pairs, bounds)):
+        if single is not None and k != single:
+            point.append(0.0)
+            continue
+        alpha = space.alpha[r]
+        edges = [0.0, _TOL, ub, -2 * _TOL, -1.0, space.demand - _TOL,
+                 space.f_lower[s] - _TOL, space.f_upper[s] + _TOL,
+                 space.f_lower[s], space.f_upper[s],
+                 (space.f_lower[r] - _TOL) * alpha,
+                 (space.f_upper[r] + _TOL) * alpha]
+        point.append(draw(st.sampled_from(edges) | st.floats(0.0, max(ub, 1e-3))))
+    return np.array(point, dtype=float)
 
 
 # -- design spaces -------------------------------------------------------------
@@ -232,6 +436,8 @@ def test_pattern_search_barrier_handles_all_infeasible():
     {"bounds": []},
     {"bounds": [(1.0, 0.0)]},
     {"bounds": [(0.0, 1.0)], "budget": 0},
+    {"bounds": [(0.0, 1.0)], "starts": 0},
+    {"bounds": [(0.0, 1.0)], "starts": -3},
 ])
 def test_pattern_search_validates_arguments(kwargs):
     bounds = kwargs.pop("bounds")
@@ -251,7 +457,98 @@ def test_pattern_search_respects_bounds():
     assert (arr >= 0.25).all() and (arr <= 0.75).all()
 
 
+@st.composite
+def _boxes(draw):
+    bounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        lower = draw(st.floats(-5.0, 5.0))
+        width = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+        bounds.append((lower, lower + width))
+    return bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounds=_boxes(), seed=st.integers(0, 2**32 - 1),
+       starts=st.integers(1, 4), budget=st.none() | st.integers(1, 400),
+       data=st.data())
+def test_pattern_search_matches_the_numpy_poll_loop(bounds, seed, starts,
+                                                    budget, data):
+    dim = len(bounds)
+    target = data.draw(st.lists(st.floats(-6.0, 16.0), min_size=dim,
+                                max_size=dim))
+    cap = data.draw(st.floats(-20.0, 60.0))
+
+    def traced():
+        seen = []
+
+        def f(x):
+            assert isinstance(x, np.ndarray)
+            seen.append(x.tolist())
+            if x.sum() > cap:
+                return math.inf
+            return float(((x - target) ** 2).sum())
+
+        return seen, f
+
+    seen, f = traced()
+    best_x, best_val, evals = pattern_search(f, bounds, seed=seed,
+                                             starts=starts, budget=budget)
+    ref_seen, ref_f = traced()
+    ref_x, ref_val, ref_evals = _reference_pattern_search(
+        ref_f, bounds, seed=seed, starts=starts, budget=budget)
+    assert seen == ref_seen
+    assert (None if best_x is None else best_x.tolist()) == \
+        (None if ref_x is None else ref_x.tolist())
+    assert (best_val, evals) == (ref_val, ref_evals)
+
+
 # -- continuous stage ----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_il_spaces(), data=st.data())
+def test_compiled_il_evaluator_matches_the_dict_reference(case, data):
+    space, selection = case
+    tables = _IlFlowTables(space, selection)
+    pairs, bounds, _, throughputs, evaluate = _reference_il_model(space, selection)
+    assert tables.pairs == pairs
+    assert tables.bounds == bounds
+    for _ in range(8):
+        x = data.draw(_il_points(space, bounds, pairs))
+        value, status = tables.evaluate(selection, x)
+        ref_value, ref_status = evaluate(selection, x)
+        assert status == ref_status
+        # a level in [-tol, 0) costs nan in the reference; nan != nan
+        assert value == ref_value or (math.isnan(value)
+                                      and math.isnan(ref_value))
+        feed, intake = tables.throughputs(x.tolist())
+        ref_feed, ref_intake = throughputs(x)
+        assert feed == [ref_feed[r] for r in tables.sel_r]
+        assert intake == [ref_intake[s] for s in tables.sel_s]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_il_spaces(), seed=st.integers(0, 2**32 - 1),
+       budget=st.none() | st.integers(1, 600), starts=st.integers(1, 6))
+def test_il_continuous_solve_matches_the_dict_reference(case, seed, budget,
+                                                        starts):
+    space, selection = case
+    assert il_continuous_solve(
+        space, selection, seed=seed, budget=budget, starts=starts) == \
+        _reference_il_continuous_solve(
+            space, selection, seed=seed, budget=budget, starts=starts)
+
+
+def test_il_continuous_solve_matches_the_reference_on_the_default_space(il_space):
+    selection = {"y[R1]": 1, "y[R2]": 1, "y[S1]": 1, "y[S3]": 1,
+                 "z[c2]": 1, "z[a1]": 1}
+    for seed in range(3):
+        res = il_continuous_solve(il_space, selection, seed=seed, starts=4)
+        assert res["status"] == "ok"
+        assert res == _reference_il_continuous_solve(il_space, selection,
+                                                     seed=seed, starts=4)
+
+
 
 
 def test_continuous_single_path_matches_closed_form():
@@ -368,8 +665,8 @@ def test_sweep_single_configuration():
     assert row["continuous_objective"] == direct["objective"]
 
 
-def test_sweep_rows_are_sorted_and_reproducible():
-    space = _single_path_space(
+def _two_reactor_space():
+    return _single_path_space(
         reactors=("R1", "R2"),
         c_fixed={"R1": 2.0, "R2": 3.0, "S1": 1.0},
         c_oper_reactor={"R1": 1.0, "R2": 0.5},
@@ -378,6 +675,10 @@ def test_sweep_rows_are_sorted_and_reproducible():
         f_lower={"R1": 1.0, "R2": 1.0, "S1": 1.0},
         f_upper={"R1": 20.0, "R2": 20.0, "S1": 16.0},
     )
+
+
+def test_sweep_rows_are_sorted_and_reproducible():
+    space = _two_reactor_space()
     rows = sweep_il(space, seed=9, budget_per_config=80, starts=3)
     assert [r["config_id"] for r in rows] == sorted(r["config_id"] for r in rows)
     assert len(rows) == 3    # R1, R2, or both
@@ -394,3 +695,15 @@ def test_sweep_configurations_match_the_oracle(il_space, il_oracle):
         for rec in il_oracle.records)
     rows = sweep_il(il_space, seed=0, budget_per_config=50)
     assert [(r["config_id"], r["discrete_objective"]) for r in rows] == expected
+
+
+def test_sweep_rows_carry_the_evaluations_of_their_solves():
+    space = _two_reactor_space()
+    rows = sweep_il(space, seed=4, starts=2)
+    assert len(rows) == 3
+    for pos, row in enumerate(rows):
+        direct = il_continuous_solve(
+            space, tuple(int(b) for b in row["config_id"]), starts=2,
+            seed=np.random.SeedSequence(entropy=4, spawn_key=(pos,)))
+        assert row["evaluations"] == direct["evaluations"] > 0
+        assert row["continuous_objective"] == direct["objective"]
