@@ -51,6 +51,7 @@ from .metrics import (
 )
 from .reformulate import reformulate
 from .solvers import (
+    _BB_SOLVERS,
     SampleSet,
     SaParams,
     branch_and_bound,
@@ -59,7 +60,7 @@ from .solvers import (
     simulated_annealing,
 )
 
-_BB_MODES = {"bb": "optimal", "bb-enumerate": "enumerate_all", "bb-pool": "pool"}
+_BB_MODES = {solver: mode for mode, solver in _BB_SOLVERS.items()}
 
 
 def _out_dir(args) -> Path:

@@ -601,8 +601,7 @@ class _IlFlowTables:
     def evaluate(self, _fixed, x: np.ndarray) -> tuple[float, str]:
         xs = x.tolist()
         tol = self.tol
-        lowest = min(xs)
-        if lowest < -tol:
+        if min(xs) < 0.0:
             return math.inf, "negative flow"
         feed, intake = self.throughputs(xs)
         for f, up, lo in zip(feed + intake, self.upper, self.lower):
@@ -611,10 +610,6 @@ class _IlFlowTables:
         recovered = sum(b * f for b, f in zip(self.beta, intake))
         if recovered < self.min_recovered:
             return math.inf, "demand shortfall"
-        if lowest < 0.0 and min(feed + intake) < 0.0:
-            # a level in [-tol, 0) passes the window test; its 0.6 power is
-            # nan in IEEE arithmetic, where Python would give a complex number
-            return math.nan, "ok"
         value = self.fixed_cost
         for c, f in zip(self.invest_r, feed):
             value += c * f ** 0.6

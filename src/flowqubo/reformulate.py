@@ -34,10 +34,11 @@ from .errors import (
 from .ip import BinaryProgram, Constraint, normalize_constraint
 from .qubo import QuboModel
 from .solvers import (
+    _FEAS_TOL,
     _VAR_LIMIT,
     SampleRecord,
     SampleSet,
-    _bits_of,
+    _bit_rows,
     _code_chunks,
     _code_shifts,
     _feasible_codes,
@@ -59,6 +60,8 @@ __all__ = [
 _INT_TOL = 1e-9
 # verify reports at most this many exactness and dominance failures each
 _MAX_FAILURES = 20
+# verify refuses an auxiliary component with more product pairs than this
+_GROUP_LIMIT = 16
 
 
 def default_penalty(program: BinaryProgram) -> float:
@@ -515,13 +518,7 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     return codes, obj, energy
 
 
-def verify(
-    reform: Reformulation,
-    *,
-    source_limit: int = _VAR_LIMIT,
-    group_limit: int = 16,
-    tol: float = 1e-9,
-) -> VerificationReport:
+def verify(reform: Reformulation) -> VerificationReport:
     """Exhaustively certify exactness and penalty dominance.
 
     For each source assignment the slack bits are optimized in closed form
@@ -531,13 +528,15 @@ def verify(
     the objective; dominance failures are infeasible assignments whose
     completion energy does not exceed the feasible optimum.  ``passed`` also
     requires a feasible assignment: without one there is no feasible
-    optimum for the QUBO minimum to sit on.
+    optimum for the QUBO minimum to sit on.  More than ``_VAR_LIMIT`` source
+    variables, or more than ``_GROUP_LIMIT`` product pairs in one auxiliary
+    component, raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
 
     The scan makes two survivor-filtered passes over the integer codes of
     the source assignments.  The first keeps the feasible codes, row by row
     as in :func:`~flowqubo.solvers.brute_force`, and completes only those.
-    That fixes ``T``, the larger of the feasible optimum plus ``tol`` and
-    the lowest feasible completion energy: no code above ``T`` can be a
+    That fixes ``T``, the larger of the feasible optimum plus ``_FEAS_TOL``
+    and the lowest feasible completion energy: no code above ``T`` can be a
     dominance failure or the QUBO argmin.  The second pass drops every code
     whose objective plus the closed-form penalties of its product-free rows
     already exceeds ``T``, a valid lower bound since the gadget and row
@@ -547,35 +546,33 @@ def verify(
     """
     scan = _ScanTables(reform)
     n = scan.n
-    if n > source_limit:
+    if n > _VAR_LIMIT:
         raise ExhaustiveLimitError(
-            f"{n} source variables exceed the exhaustive bound of {source_limit}")
+            f"{n} source variables exceed the exhaustive bound of {_VAR_LIMIT}")
     for members, _ in scan.components:
-        if len(members) > group_limit:
+        if len(members) > _GROUP_LIMIT:
             raise ExhaustiveLimitError(
                 f"auxiliary component of size {len(members)} exceeds the "
-                f"bound of {group_limit}")
-    energy_tol = max(1e-6, 10 * tol)
+                f"bound of {_GROUP_LIMIT}")
+    energy_tol = max(1e-6, 10 * _FEAS_TOL)
 
     feasible_count = 0
     feasible_opt = np.inf
     feasible_min_energy = np.inf
     exactness = []
     for codes in _code_chunks(n):
-        codes = _feasible_codes(scan.tables, codes, tol)
+        codes = _feasible_codes(scan.tables, codes)
         if not codes.size:
             continue
         _, obj, energy = _completion_energies(scan, codes)
         feasible_count += codes.size
         feasible_opt = min(feasible_opt, float(obj.min()))
         feasible_min_energy = min(feasible_min_energy, float(energy.min()))
-        for local in np.nonzero(np.abs(energy - obj) > tol)[0]:
-            if len(exactness) >= _MAX_FAILURES:
-                break
-            exactness.append((_bits_of(int(codes[local]), n), float(energy[local]),
-                              float(obj[local])))
+        failed = np.flatnonzero(np.abs(energy - obj) > _FEAS_TOL)[:_MAX_FAILURES - len(exactness)]
+        exactness += zip(map(tuple, _bit_rows(codes[failed], n).tolist()),
+                         energy[failed].tolist(), obj[failed].tolist())
 
-    threshold = max(feasible_opt + tol, feasible_min_energy)
+    threshold = max(feasible_opt + _FEAS_TOL, feasible_min_energy)
     best_energy = np.inf
     best_k = 0
     dominance: list[tuple[float, int]] = []
@@ -588,8 +585,8 @@ def verify(
             best_energy = float(energy[chunk_best])
             best_k = int(codes[chunk_best])
         if feasible_count:
-            infeasible = ~np.isin(codes, _feasible_codes(scan.tables, codes, tol))
-            flagged = infeasible & (energy <= feasible_opt + tol)
+            infeasible = ~np.isin(codes, _feasible_codes(scan.tables, codes))
+            flagged = infeasible & (energy <= feasible_opt + _FEAS_TOL)
             dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
                                                     codes[flagged].tolist())))
             del dominance[_MAX_FAILURES:]
@@ -601,6 +598,7 @@ def verify(
             f"internal completion mismatch: scan energy {best_energy}, "
             f"direct energy {recomputed}")
 
+    dominance_bits = map(tuple, _bit_rows([k for _, k in dominance], n).tolist())
     source_bits = full_bits[:n]
     return VerificationReport(
         passed=feasible_count > 0 and not exactness and not dominance,
@@ -612,7 +610,7 @@ def verify(
         argmin_objective=reform.source.objective_value(source_bits),
         argmin_feasible=reform.source.is_feasible(source_bits),
         exactness_failures=tuple(exactness),
-        dominance_failures=tuple((_bits_of(k, n), e) for e, k in dominance),
+        dominance_failures=tuple(zip(dominance_bits, [e for e, _ in dominance])),
         rho=reform.rho,
     )
 
@@ -626,14 +624,14 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
     """
     n = scan.n
     codes = np.array([code], dtype=np.int64)
-    full = list(_bits_of(code, n)) + [0] * (reform.qubo.num_vars - n)
+    full = _bit_rows(codes, n)[0].tolist() + [0] * (reform.qubo.num_vars - n)
     bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
     residual = [row["residual"].values(codes) for row in scan.rows]
 
     w_chosen = {}
     for members, row_ids in scan.components:
         _, choice = _component_minimum(scan, members, row_ids, bits, residual)
-        for w, p in zip(_bits_of(int(choice[0]), len(members)), members):
+        for w, p in zip(_bit_rows(choice, len(members))[0].tolist(), members):
             w_chosen[p] = w
             full[reform.aux_products[scan.pairs[p]]] = w
 

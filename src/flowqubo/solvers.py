@@ -7,7 +7,8 @@ and :mod:`ip`:
   the integer codes of all assignments in chunks and filters them row by
   row, equality rows first, each row evaluated only on the codes that
   survived the rows before it; the same kernel feeds
-  :func:`~flowqubo.reformulate.verify` and the two-stage sweep,
+  :func:`~flowqubo.reformulate.verify`, and :func:`branch_and_bound`
+  searches the same compiled rows,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
   greedily and flips one colour class per numpy step, all reads at once,
@@ -266,29 +267,28 @@ def import_samples(path, qubo: QuboModel | None = None, tol: float = 1e-6) -> Sa
 # -- shared enumeration kernel ------------------------------------------------
 
 
-def _code_chunks(n: int, chunk_bits: int = _CHUNK_BITS):
-    """Yield the codes ``0 .. 2^n - 1`` in ascending int64 chunks.
+def _code_chunks(n: int):
+    """Yield the codes ``0 .. 2^n - 1`` in ascending int64 chunks of
+    ``2^_CHUNK_BITS``.
 
     Code ``k`` stands for the assignment whose variable ``j`` is the bit
     ``(k >> (n-1-j)) & 1``.  Variable 0 is the most significant bit, so code
     order equals lexicographic order of the bit tuples.
     """
     total = 1 << n
-    step = 1 << min(chunk_bits, n)
+    step = 1 << min(_CHUNK_BITS, n)
     for start in range(0, total, step):
         yield np.arange(start, min(start + step, total), dtype=np.int64)
 
 
-def _bit_matrix(codes: np.ndarray, n: int) -> np.ndarray:
-    """The ``(len(codes), n)`` float 0/1 matrix of the assignments ``codes``."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    # transposed build, so columns of the returned matrix are contiguous
-    Xt = ((codes[None, :] >> shifts[:, None]) & 1).astype(np.float64)
-    return Xt.T
+def _bit_rows(codes, n: int) -> np.ndarray:
+    """The C-order int64 0/1 matrix of the assignments ``codes``, one row each.
 
-
-def _bits_of(k: int, n: int) -> tuple[int, ...]:
-    return tuple((k >> (n - 1 - i)) & 1 for i in range(n))
+    ``map(tuple, _bit_rows(codes, n).tolist())`` gives the assignment tuples;
+    every conversion from codes to assignments goes through here.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    return (codes[:, None] >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
 
 
 class LinearForm(NamedTuple):
@@ -366,8 +366,7 @@ def _program_tables(program: BinaryProgram) -> ProgramTables:
     return ProgramTables(tuple(rows), objective)
 
 
-def _feasible_codes(tables: ProgramTables, codes: np.ndarray,
-                    tol: float = _FEAS_TOL) -> np.ndarray:
+def _feasible_codes(tables: ProgramTables, codes: np.ndarray) -> np.ndarray:
     """The codes among ``codes`` that satisfy every row, in their order.
 
     Each row is evaluated only on the codes that survived the rows before it,
@@ -377,15 +376,14 @@ def _feasible_codes(tables: ProgramTables, codes: np.ndarray,
     for lhs, sense, rhs in tables.rows:
         if not codes.size:
             break
-        codes = codes[row_holds(sense, lhs.values(codes), rhs, tol)]
+        codes = codes[row_holds(sense, lhs.values(codes), rhs, _FEAS_TOL)]
     return codes
 
 
 # -- exhaustive oracle --------------------------------------------------------
 
 
-def brute_force(model, *, limit: int | None = None,
-                chunk_bits: int = _CHUNK_BITS) -> SampleSet:
+def brute_force(model, *, limit: int | None = None) -> SampleSet:
     """Exhaustive oracle.
 
     For a :class:`QuboModel`: every assignment with its exact energy (or the
@@ -395,7 +393,7 @@ def brute_force(model, *, limit: int | None = None,
     objective.
 
     Both walk the integer codes of all ``2^n`` assignments in chunks of
-    ``2^chunk_bits``.  For a program every code is checked row by row,
+    ``2^_CHUNK_BITS``.  For a program every code is checked row by row,
     equality rows first, each row on the survivors of the rows before it;
     the objective is evaluated only on the codes that survive every row.
     More than ``_VAR_LIMIT`` (24) variables raise
@@ -408,17 +406,17 @@ def brute_force(model, *, limit: int | None = None,
         raise ExhaustiveLimitError(
             f"{model.num_vars} variables exceed the exhaustive bound of {_VAR_LIMIT}")
     if isinstance(model, QuboModel):
-        return _brute_force_qubo(model, limit, chunk_bits)
-    return _brute_force_program(model, chunk_bits)
+        return _brute_force_qubo(model, limit)
+    return _brute_force_program(model)
 
 
-def _brute_force_qubo(qubo: QuboModel, limit, chunk_bits) -> SampleSet:
+def _brute_force_qubo(qubo: QuboModel, limit) -> SampleSet:
     n = qubo.num_vars
     t0 = time.perf_counter()
     kept_k: list[np.ndarray] = []
     kept_e: list[np.ndarray] = []
-    for ks in _code_chunks(n, chunk_bits):
-        energies = qubo.energies(_bit_matrix(ks, n))
+    for ks in _code_chunks(n):
+        energies = qubo.energies(_bit_rows(ks, n))
         if limit is not None:
             order = np.argsort(energies, kind="stable")[:limit]
             ks, energies = ks[order], energies[order]
@@ -426,30 +424,31 @@ def _brute_force_qubo(qubo: QuboModel, limit, chunk_bits) -> SampleSet:
         kept_e.append(energies)
     ks = np.concatenate(kept_k)
     energies = np.concatenate(kept_e)
-    order = np.lexsort((ks, energies))
-    if limit is not None:
-        order = order[:limit]
-    records = [
-        SampleRecord(assignment=_bits_of(int(ks[i]), n), energy=float(energies[i]))
-        for i in order
-    ]
+    order = np.lexsort((ks, energies))[:limit]
+    records: list[SampleRecord] = []
+    step = 1 << _CHUNK_BITS   # bit tuples one chunk at a time keep the lists small
+    for start in range(0, len(order), step):
+        part = order[start:start + step]
+        records += map(SampleRecord, map(tuple, _bit_rows(ks[part], n).tolist()),
+                       energies[part].tolist())
     tau = time.perf_counter() - t0
     return SampleSet(records=tuple(records), solver="oracle", tau=tau, seed=None)
 
 
-def _brute_force_program(program: BinaryProgram, chunk_bits) -> SampleSet:
+def _brute_force_program(program: BinaryProgram) -> SampleSet:
     n = program.num_vars
     t0 = time.perf_counter()
     tables = _program_tables(program)
     proj_names = program.projection or program.var_names
     proj_idx = [program.index(name) for name in proj_names]
     pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
-    for codes in _code_chunks(n, chunk_bits):
+    for codes in _code_chunks(n):
         codes = _feasible_codes(tables, codes)
+        rows = _bit_rows(codes, n)
         objs = tables.objective.values(codes)
-        for k, obj in zip(codes.tolist(), objs.tolist()):
-            bits = _bits_of(k, n)
-            key = tuple(bits[i] for i in proj_idx)
+        for bits, key, obj in zip(map(tuple, rows.tolist()),
+                                  map(tuple, rows[:, proj_idx].tolist()),
+                                  objs.tolist()):
             prev = pool.get(key)
             if prev is None or obj < prev[0]:
                 pool[key] = (obj, bits)
@@ -555,11 +554,11 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
     states[:, order] = X.T
     energies = qubo.energies(states)
     counts: dict[tuple[int, ...], list] = {}
-    for r in range(reads):
-        key = tuple(int(b) for b in states[r])
+    for key, energy in zip(map(tuple, states.astype(np.int64).tolist()),
+                           energies.tolist()):
         entry = counts.get(key)
         if entry is None:
-            counts[key] = [float(energies[r]), 1]
+            counts[key] = [energy, 1]
         else:
             entry[1] += 1
     records = [

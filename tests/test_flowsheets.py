@@ -133,7 +133,7 @@ def _reference_il_model(space, fixed):
         return level <= tol or level >= space.f_lower[unit] - tol
 
     def evaluate(_fixed, x):
-        if (x < -tol).any():
+        if (x < 0).any():
             return math.inf, "negative flow"
         feed, intake = throughputs(x)
         for levels in (feed, intake):
@@ -224,9 +224,9 @@ def _il_spaces(draw):
 def _il_points(draw, space, bounds, pairs):
     """Points on and around the window edges of every pair's units.
 
-    Entries in [-tol, 0) are left out: they pass the negativity test, lie
-    outside every search box, and raise a negative level to the power 0.6.
-    Half the points send flow down one pair only, so that single units sit
+    Negative entries, outside every search box, are included: -1, -2 tol,
+    and the reactor edge ``(f_lower - tol) * alpha``, which lies in
+    ``[-tol, 0)`` when ``f_lower`` is 0.  Half the points send flow down one pair only, so that single units sit
     exactly on their edges.
     """
     point = []
@@ -517,14 +517,32 @@ def test_compiled_il_evaluator_matches_the_dict_reference(case, data):
         x = data.draw(_il_points(space, bounds, pairs))
         value, status = tables.evaluate(selection, x)
         ref_value, ref_status = evaluate(selection, x)
-        assert status == ref_status
-        # a level in [-tol, 0) costs nan in the reference; nan != nan
-        assert value == ref_value or (math.isnan(value)
-                                      and math.isnan(ref_value))
+        assert (value, status) == (ref_value, ref_status)
         feed, intake = tables.throughputs(x.tolist())
         ref_feed, ref_intake = throughputs(x)
         assert feed == [ref_feed[r] for r in tables.sel_r]
         assert intake == [ref_intake[s] for s in tables.sel_s]
+
+
+def test_il_evaluator_bars_every_negative_flow():
+    tables = _IlFlowTables(_single_path_space(), _SINGLE_SELECTION)
+    assert tables.evaluate(_SINGLE_SELECTION, np.array([-1e-9])) == \
+        (math.inf, "negative flow")
+    # a flow in [-tol, 0) next to one that meets the demand once cost nan
+    space = _single_path_space(
+        separators=("S1", "S2"),
+        c_fixed={"R1": 2.0, "S1": 1.0, "S2": 1.0},
+        c_oper_separator={"S1": 1.0, "S2": 1.0},
+        c_invest={"R1": 0.5, "S1": 0.25, "S2": 0.25},
+        c_energy={"S1": 0.125, "S2": 0.125},
+        beta={"S1": {"c1": {"a1": 1.0}}, "S2": {"c1": {"a1": 1.0}}},
+        f_lower={"R1": 1.0, "S1": 1.0, "S2": 1.0},
+        f_upper={"R1": 20.0, "S1": 16.0, "S2": 16.0})
+    selection = dict(_SINGLE_SELECTION, **{"y[S2]": 1})
+    tables = _IlFlowTables(space, selection)
+    assert tables.evaluate(selection, np.array([-1e-9, 5.0])) == \
+        (math.inf, "negative flow")
+    assert tables.evaluate(selection, np.array([0.0, 5.0]))[1] == "ok"
 
 
 @settings(max_examples=60, deadline=None)

@@ -221,17 +221,19 @@ def test_verify_detects_weak_penalty():
 
 
 def test_verify_respects_scan_limits():
-    names = tuple(f"v{i}" for i in range(4))
+    names = tuple(f"v{i}" for i in range(25))
     prog = _program({n: 1.0 for n in names},
                     [Constraint({names[0]: 1.0}, "=", 1.0)], names=names)
-    reform = reformulate(prog)
-    with pytest.raises(ExhaustiveLimitError):
-        verify(reform, source_limit=3)
+    with pytest.raises(ExhaustiveLimitError, match="25 source variables"):
+        verify(reformulate(prog))
+    # 17 products of x in one row: one auxiliary component of 17 pairs
+    ys = tuple(f"y{i}" for i in range(17))
     gadget = _program(
-        {"x": 1.0}, [Constraint({"x": 1.0}, "=", 0.0, products=(("x", "y", 1.0),))],
-        names=("x", "y"))
-    with pytest.raises(ExhaustiveLimitError):
-        verify(reformulate(gadget), group_limit=0)
+        {"x": 1.0},
+        [Constraint({}, "=", 0.0, products=tuple(("x", y, 1.0) for y in ys))],
+        names=("x",) + ys)
+    with pytest.raises(ExhaustiveLimitError, match="size 17"):
+        verify(reformulate(gadget))
 
 
 def test_sidecar_shape():

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowqubo import (
@@ -24,6 +24,7 @@ from flowqubo import (
     no_good_cut,
     simulated_annealing,
 )
+from flowqubo import solvers
 from flowqubo.solvers import _anneal, _colour_classes, _log_thresholds
 
 
@@ -168,12 +169,9 @@ def test_brute_force_infeasible_program():
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 5, 18])
-def test_brute_force_chunking_invariant(chunk_bits):
+def test_brute_force_chunking_invariant(chunk_bits, monkeypatch):
     q = QuboModel.from_terms(
         6, {(i, j): ((i + 2 * j) % 5) - 2.0 for i in range(6) for j in range(i, 6)})
-    full = brute_force(q, chunk_bits=18)
-    chunked = brute_force(q, chunk_bits=chunk_bits)
-    assert full.records == chunked.records
     names = tuple(f"x{i}" for i in range(7))
     prog = BinaryProgram(
         var_names=names,
@@ -186,9 +184,98 @@ def test_brute_force_chunking_invariant(chunk_bits):
         objective_products=(("x1", "x5", -3.0),),
         projection=names[:5],
     )
-    full = brute_force(prog, chunk_bits=18)
-    assert full.records
-    assert brute_force(prog, chunk_bits=chunk_bits).records == full.records
+    monkeypatch.setattr(solvers, "_CHUNK_BITS", 18)
+    full_q = brute_force(q)
+    full_q_limited = brute_force(q, limit=10)
+    full_prog = brute_force(prog)
+    assert full_prog.records
+    monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+    assert brute_force(q).records == full_q.records
+    assert brute_force(q, limit=10).records == full_q_limited.records
+    assert brute_force(prog).records == full_prog.records
+
+
+def _per_code_qubo_reference(qubo, limit=None):
+    """``brute_force(qubo)`` as it was before the bulk bit rows.
+
+    Energies come from a transposed float 0/1 matrix per chunk of 2^14
+    codes, and each record's bit tuple is built from its code one bit at
+    a time.
+    """
+    n = qubo.num_vars
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    kept_k, kept_e = [], []
+    for start in range(0, 1 << n, 1 << 14):
+        ks = np.arange(start, min(start + (1 << 14), 1 << n), dtype=np.int64)
+        X = ((ks[None, :] >> shifts[:, None]) & 1).astype(np.float64).T
+        energies = qubo.energies(X)
+        if limit is not None:
+            order = np.argsort(energies, kind="stable")[:limit]
+            ks, energies = ks[order], energies[order]
+        kept_k.append(ks)
+        kept_e.append(energies)
+    ks = np.concatenate(kept_k)
+    energies = np.concatenate(kept_e)
+    order = np.lexsort((ks, energies))
+    if limit is not None:
+        order = order[:limit]
+    return tuple(
+        SampleRecord(assignment=tuple((int(ks[i]) >> (n - 1 - j)) & 1
+                                      for j in range(n)),
+                     energy=float(energies[i]))
+        for i in order)
+
+
+@st.composite
+def _scan_qubos(draw):
+    """A QUBO of 0-16 variables with integer, tenth or normal coefficients,
+    and a record limit: none, below one chunk of codes, or above 2^n."""
+    n = draw(st.integers(0, 16))
+    kind = draw(st.sampled_from(["integer", "tenth", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                continue
+            if kind == "integer":
+                terms[(i, j)] = float(rng.integers(-5, 6))
+            elif kind == "tenth":
+                terms[(i, j)] = int(rng.integers(-50, 51)) / 10
+            else:
+                terms[(i, j)] = float(rng.normal())
+    offset = float(rng.normal()) if kind == "normal" else 0.0
+    limit = draw(st.none() | st.integers(1, (1 << 14) - 1)
+                 | st.integers((1 << n) + 1, (1 << n) + 100))
+    return QuboModel.from_terms(n, terms, offset), limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scan_qubos())
+@example(case=(QuboModel.from_terms(0, {}, 1.5), None))
+@example(case=(QuboModel.from_terms(0, {}, 1.5), 1))
+@example(case=(QuboModel.from_terms(
+    16, {(i, j): ((3 * i + j) % 7 - 3) / 10 for i in range(16) for j in range(i, 16)}),
+    None))
+@example(case=(QuboModel.from_terms(
+    16, {(i, j): float((i * j) % 5 - 2) for i in range(16) for j in range(i, 16)}),
+    100))
+def test_brute_force_qubo_matches_the_per_code_reference(case):
+    qubo, limit = case
+    assert brute_force(qubo, limit=limit).records == \
+        _per_code_qubo_reference(qubo, limit)
+
+
+def test_brute_force_zero_variable_program():
+    prog = BinaryProgram(var_names=(), objective={}, objective_constant=2.5)
+    ss = brute_force(prog)
+    assert [(r.assignment, r.energy, r.objective) for r in ss.records] == \
+        [((), 2.5, 2.5)]
+    assert ss.records == _float_matrix_reference(prog).records
+    blocked = BinaryProgram(var_names=(), objective={},
+                            constraints=(Constraint({}, "=", 1.0),))
+    assert brute_force(blocked).status == "infeasible"
+    assert brute_force(blocked).records == ()
 
 
 def _float_matrix_reference(prog):
