@@ -63,9 +63,7 @@ class IlDesignSpace:
     ``alpha`` is the reactor conversion (output per unit feed), ``beta`` the
     separator recovery factor per (separator, cation, anion), ``f_lower`` /
     ``f_upper`` the semicontinuous throughput window of each unit, and
-    ``demand`` the minimum recovered product.  ``big_m`` is the linearization
-    constant carried for model export; the reduced continuous solve never
-    needs it because the binaries are fixed there.
+    ``demand`` the minimum recovered product.
     """
 
     reactors: tuple[str, ...]
@@ -82,7 +80,6 @@ class IlDesignSpace:
     f_lower: Mapping[str, float]
     f_upper: Mapping[str, float]
     demand: float
-    big_m: float = 100.0
     provenance: str = "synthetic"
 
     def __post_init__(self) -> None:
@@ -141,7 +138,6 @@ class IlDesignSpace:
             "f_lower": dict(self.f_lower),
             "f_upper": dict(self.f_upper),
             "demand": self.demand,
-            "big_m": self.big_m,
         }
 
     @classmethod
@@ -167,7 +163,6 @@ class IlDesignSpace:
                 f_lower=fmap("f_lower"),
                 f_upper=fmap("f_upper"),
                 demand=float(data["demand"]),
-                big_m=float(data.get("big_m", 100.0)),
                 provenance=str(data.get("provenance", "synthetic")),
             )
         except JSON_SHAPE_ERRORS as exc:

@@ -39,6 +39,7 @@ from .solvers import (
     SampleRecord,
     SampleSet,
     _bit_rows,
+    _ChunkForms,
     _code_chunks,
     _code_shifts,
     _feasible_codes,
@@ -437,6 +438,9 @@ class _ScanTables:
         self.simple_rows = sorted(
             (ci for ci, row in enumerate(self.rows) if not row["pair_pos"]),
             key=lambda ci: self.rows[ci]["sense"] != "=")
+        # their residuals on chunk codes, with this call's low-bit tables
+        self.simple_residuals = _ChunkForms(
+            [self.rows[ci]["residual"] for ci in self.simple_rows], self.n)
         self.rho = reform.rho
 
 
@@ -493,28 +497,31 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     Every penalty is >= 0 and the objective is at least its floor, so the
     penalties summed so far plus that floor never exceed the final energy,
     rounding included.  A code is dropped as soon as that lower bound
-    exceeds ``bound``.  Returns the kept codes, their objectives and their
-    energies.
+    exceeds ``bound``, and once every code is dropped nothing more is
+    evaluated.  ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``, as
+    the product-free residuals (``scan.simple_residuals``) require.  Returns
+    the kept codes, their objectives and their energies.
     """
     floor = scan.tables.objective.floor()
     energy = np.zeros(codes.shape)
-    for ci in scan.simple_rows:
+    for k, ci in enumerate(scan.simple_rows):
         if not codes.size:
             break
-        row = scan.rows[ci]
-        energy = energy + _row_penalty(row, row["residual"].values(codes))[0]
+        energy = energy + _row_penalty(scan.rows[ci],
+                                       scan.simple_residuals.values(k, codes))[0]
         keep = energy + floor <= bound
         codes, energy = codes[keep], energy[keep]
+    if not codes.size:
+        return codes, energy, energy
     obj = scan.tables.objective.values(codes)
     energy = energy + obj
-    if codes.size:
-        n = scan.n
-        bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
-        residual = {ci: scan.rows[ci]["residual"].values(codes)
-                    for _, row_ids in scan.components for ci in row_ids}
-        for members, row_ids in scan.components:
-            energy = energy + _component_minimum(scan, members, row_ids, bits,
-                                                 residual)[0]
+    n = scan.n
+    bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
+    residual = {ci: scan.rows[ci]["residual"].values(codes)
+                for _, row_ids in scan.components for ci in row_ids}
+    for members, row_ids in scan.components:
+        energy = energy + _component_minimum(scan, members, row_ids, bits,
+                                             residual)[0]
     return codes, obj, energy
 
 
@@ -542,7 +549,11 @@ def verify(reform: Reformulation) -> VerificationReport:
     already exceeds ``T``, a valid lower bound since the gadget and row
     penalties are >= 0, and enumerates auxiliaries only on the rest.  With
     no feasible code ``T`` is infinite and the second pass completes every
-    code, one chunk at a time.
+    code, one chunk at a time.  In both passes the rows and the product-free
+    residuals split at bit ``_CHUNK_BITS`` as in the oracle scan: an
+    integral form reads its low bits from a table built for this call, and
+    any other form, the objective included, is summed term by term.  Every
+    code is still evaluated, so the reports are those of an unsplit scan.
     """
     scan = _ScanTables(reform)
     n = scan.n

@@ -286,6 +286,10 @@ def test_il_space_json_round_trip(tmp_path, il_space):
     path = tmp_path / "space.json"
     il_space.save(path)
     assert IlDesignSpace.load(path) == il_space
+    # design spaces saved with the retired big_m key still load
+    saved = il_space.to_json_dict()
+    assert "big_m" not in saved
+    assert IlDesignSpace.from_json_dict({**saved, "big_m": 100.0}) == il_space
 
 
 def test_ds_space_json_round_trip(tmp_path, ds_space):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flowqubo import (
     rosenberg_penalty,
     verify,
 )
+from flowqubo import solvers
 
 
 def _program(objective, constraints, names=None, products=()):
@@ -475,13 +477,17 @@ def _reports_agree(reform):
     return report
 
 
-@given(solvable_programs())
+@given(solvable_programs(), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
-def test_verify_matches_dense_reference(prog):
+def test_verify_matches_dense_reference(prog, chunk_bits):
+    """As one chunk, and in chunks of 2^chunk_bits whose rows read low-bit
+    tables: the reports match the reference field for field."""
     reform = reformulate(prog)
-    assert _reports_agree(reform).passed
-    _reports_agree(reformulate(prog, rho=0.5))
-    _reports_agree(_short_slack(reform))
+    reforms = (reform, reformulate(prog, rho=0.5), _short_slack(reform))
+    one_chunk = [_reports_agree(r) for r in reforms]
+    assert one_chunk[0].passed
+    with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
+        assert [_reports_agree(r) for r in reforms] == one_chunk
 
 
 def test_verify_matches_dense_reference_on_failures():

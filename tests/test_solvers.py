@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from flowqubo import (
     derived_beta_schedule,
     import_samples,
     no_good_cut,
+    reformulate,
     simulated_annealing,
+    verify,
 )
 from flowqubo import solvers
 from flowqubo.solvers import _anneal, _colour_classes, _log_thresholds
@@ -168,31 +171,83 @@ def test_brute_force_infeasible_program():
     assert ss.records == ()
 
 
-@pytest.mark.parametrize("chunk_bits", [2, 5, 18])
-def test_brute_force_chunking_invariant(chunk_bits, monkeypatch):
-    q = QuboModel.from_terms(
-        6, {(i, j): ((i + 2 * j) % 5) - 2.0 for i in range(6) for j in range(i, 6)})
-    names = tuple(f"x{i}" for i in range(7))
-    prog = BinaryProgram(
-        var_names=names,
-        objective={name: float((3 * i) % 5 - 2) for i, name in enumerate(names)},
+_SEVEN = tuple(f"x{i}" for i in range(7))
+_CHUNKING_PROGRAMS = (
+    BinaryProgram(
+        var_names=_SEVEN,
+        objective={name: float((3 * i) % 5 - 2) for i, name in enumerate(_SEVEN)},
         constraints=(
-            Constraint({name: 1.0 for name in names}, "<=", 4.0),
+            Constraint({name: 1.0 for name in _SEVEN}, "<=", 4.0),
             Constraint({"x0": 1.0, "x6": 1.0}, ">=", 1.0),
+            # x3 and x4 sit on bits 3 and 2: a split at bit 3 parts them
             Constraint({"x2": 1.0}, "=", 0.0, products=(("x3", "x4", 1.0),)),
         ),
         objective_products=(("x1", "x5", -3.0),),
-        projection=names[:5],
-    )
-    monkeypatch.setattr(solvers, "_CHUNK_BITS", 18)
-    full_q = brute_force(q)
-    full_q_limited = brute_force(q, limit=10)
-    full_prog = brute_force(prog)
-    assert full_prog.records
+        projection=_SEVEN[:5],
+    ),
+    # tenths are not integral, so the row keeps LinearForm.values: at the
+    # optimum x1 = x4 = x6 = 1 its residual is 0.1 + 0.2 - 0.3 = 5.6e-17,
+    # but 0.2 - 0.3 + 0.1 = 2.8e-17, and verify's QUBO minimum is the
+    # squared residual times rho
+    BinaryProgram(
+        var_names=_SEVEN,
+        objective={"x1": -1.0, "x4": -1.0, "x6": -1.0},
+        constraints=(Constraint({"x1": 0.1, "x4": 0.2, "x6": -0.3}, "=", 0.0),
+                     Constraint({name: 1.0 for name in _SEVEN}, ">=", 2.0)),
+        objective_constant=3.0,
+    ),
+    # x0 is the top bit and x6 the bottom one, so the row product spans
+    # every split
+    BinaryProgram(
+        var_names=_SEVEN,
+        objective={name: float(2 - i) for i, name in enumerate(_SEVEN)},
+        constraints=(Constraint({"x3": 1.0}, "=", 1.0, products=(("x0", "x6", -1.0),)),
+                     Constraint({"x1": 2.0, "x5": -1.0}, "<=", 1.0,
+                                products=(("x6", "x2", 3.0),))),
+        projection=("x0", "x3", "x6"),
+    ),
+    # no feasible point: verify completes every code
+    BinaryProgram(
+        var_names=_SEVEN,
+        objective={name: 1.0 for name in _SEVEN},
+        constraints=(Constraint({"x0": 1.0, "x6": 1.0}, "=", 1.0),
+                     Constraint({"x0": 1.0, "x6": 1.0}, ">=", 2.0)),
+    ),
+)
+
+
+# past the exact bound of 2^53 the row keeps LinearForm.values: at x0 = x5 =
+# x6 = 1 it sums 2^53 + 1 + 1 to 2^53 and holds, but 1 + 1 + 2^53 is 2^53 + 2
+# (the QUBO of this row is too coarse for verify's completion check)
+_INEXACT_PROGRAM = BinaryProgram(
+    var_names=_SEVEN,
+    objective={name: 1.0 for name in _SEVEN},
+    constraints=(Constraint({"x0": 2.0 ** 53, "x5": 1.0, "x6": 1.0}, "=", 2.0 ** 53),),
+)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 5, 18])
+def test_brute_force_chunking_invariant(chunk_bits, monkeypatch):
+    """Scans of many chunks, whose rows read low-bit tables, give what a scan
+    of one chunk, without tables, gives: records, statuses and verify
+    reports compare equal field for field."""
+    q = QuboModel.from_terms(
+        6, {(i, j): ((i + 2 * j) % 5) - 2.0 for i in range(6) for j in range(i, 6)})
+
+    def scans():
+        out = [brute_force(q).records, brute_force(q, limit=10).records,
+               brute_force(_INEXACT_PROGRAM).records]
+        for prog in _CHUNKING_PROGRAMS:
+            oracle = brute_force(prog)
+            out.append((oracle.status, oracle.records, verify(reformulate(prog))))
+        return out
+
+    monkeypatch.setattr(solvers, "_CHUNK_BITS", 24)
+    one_chunk = scans()
+    assert [status for status, *_ in one_chunk[3:]] == ["ok", "ok", "ok", "infeasible"]
+    assert (1, 0, 0, 0, 0, 1, 1) in [r.assignment for r in one_chunk[2]]
     monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
-    assert brute_force(q).records == full_q.records
-    assert brute_force(q, limit=10).records == full_q_limited.records
-    assert brute_force(prog).records == full_prog.records
+    assert scans() == one_chunk
 
 
 def _per_code_qubo_reference(qubo, limit=None):
@@ -717,10 +772,14 @@ def _cut_loop_reference(prog):
         current = current.with_constraints([no_good_cut(values, over)])
 
 
-@given(solvable_programs())
+@given(solvable_programs(), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
-def test_brute_force_matches_float_matrix_reference(prog):
+def test_brute_force_matches_float_matrix_reference(prog, chunk_bits):
+    """As one chunk, and in chunks of 2^chunk_bits whose rows read low-bit
+    tables."""
     _assert_matches_float_matrix_reference(prog)
+    with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
+        _assert_matches_float_matrix_reference(prog)
 
 
 @given(solvable_programs())
