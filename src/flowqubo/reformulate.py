@@ -11,17 +11,17 @@ the feasible optima of the source program.
 the source assignments and minimizes the penalty energy over slack and
 auxiliary completions in closed form, so models whose QUBO exceeds the usual
 exhaustive bound are still checkable as long as the source space is small.
-The scan runs on the oracle's survivor-filtered code kernel: a first pass
-completes only the feasible assignments, and a second drops every
-assignment whose objective plus product-free row penalties, a lower bound on
-its completion energy, already exceeds what a dominance failure or the QUBO
-minimum can reach.
+The scan runs on the oracle's survivor-filtered code kernel and on the rows
+the oracle compiles: a first pass completes only the feasible assignments,
+and a second drops every assignment whose objective plus product-free row
+penalties, a lower bound on its completion energy, already exceeds what a
+dominance failure or the QUBO minimum can reach.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,11 +39,8 @@ from .solvers import (
     SampleRecord,
     SampleSet,
     _bit_rows,
-    _ChunkForms,
     _code_chunks,
-    _code_shifts,
     _feasible_codes,
-    _linear_form,
     _program_tables,
 )
 
@@ -374,39 +371,38 @@ class _ScanTables:
     assignment the optimal slack of each row is independent and available in
     closed form, and auxiliaries only couple through shared constraints, so
     they are minimized per connected component.
+
+    ``rows[k]`` is the penalty data of the oracle's compiled row ``k``
+    (``tables.rows[k]``); a product row also keeps its linear part, since
+    auxiliaries stand in for its products.
     """
 
     def __init__(self, reform: Reformulation):
         program = reform.source
         self.n = program.num_vars
-        norm_program = BinaryProgram(
-            var_names=program.var_names,
-            objective=program.objective,
-            constraints=reform.normalized,
-            objective_constant=program.objective_constant,
-            objective_products=program.objective_products,
-            projection=program.projection,
-        )
-        self.tables = _program_tables(norm_program)
+        self.tables = _program_tables(replace(program, constraints=reform.normalized))
+        self.floor = self.tables.objective.floor()
 
         index = {name: i for i, name in enumerate(program.var_names)}
-        shift = _code_shifts(program)
         self.pairs = sorted(reform.aux_products)          # [(i, j)]
         pair_pos = {p: k for k, p in enumerate(self.pairs)}
 
         self.rows = []
-        for ci, con in enumerate(reform.normalized):
+        for ci, (lhs, sense, rhs) in zip(self.tables.order, self.tables.rows):
+            con = reform.normalized[ci]
             group = reform.slack_groups[ci]
+            pairs = [(pair_pos[key], q) for key, q in _merged_pairs(con, index).items()]
             self.rows.append({
-                # lhs - rhs of the linear part, before slack and auxiliaries
-                "residual": _linear_form(shift, con.linear, const=-con.rhs),
-                "sense": con.sense,
+                "rhs": rhs,
+                "sense": sense,
                 "weight": reform.constraint_weight(con.label),
-                "max_slack": (1 << len(group.indices)) - 1,
+                "max_slack": float((1 << len(group.indices)) - 1),
                 "slack_indices": group.indices,
-                "pair_pos": [(pair_pos[key], q)
-                             for key, q in _merged_pairs(con, index).items()],
+                "pair_pos": pairs,
+                # lhs - rhs of a product row's linear part
+                "linear": lhs._replace(const=-float(rhs), products=()) if pairs else None,
             })
+        self.simple_rows = [k for k, row in enumerate(self.rows) if not row["pair_pos"]]
 
         # connected components of pairs coupled through shared constraints
         parent = list(range(len(self.pairs)))
@@ -427,37 +423,38 @@ class _ScanTables:
         for p in range(len(self.pairs)):
             comp_pairs.setdefault(find(p), []).append(p)
         self.components = []
-        for root, members in sorted(comp_pairs.items()):
-            members = sorted(members)
+        for members in sorted(comp_pairs.values()):
             member_set = set(members)
-            row_ids = [ci for ci, row in enumerate(self.rows)
-                       if row["pair_pos"] and
-                       {p for p, _ in row["pair_pos"]} & member_set]
+            row_ids = [k for k, row in enumerate(self.rows)
+                       if {p for p, _ in row["pair_pos"]} & member_set]
             self.components.append((members, row_ids))
-        # equality rows first, as in the feasibility scan: they prune most
-        self.simple_rows = sorted(
-            (ci for ci, row in enumerate(self.rows) if not row["pair_pos"]),
-            key=lambda ci: self.rows[ci]["sense"] != "=")
-        # their residuals on chunk codes, with this call's low-bit tables
-        self.simple_residuals = _ChunkForms(
-            [self.rows[ci]["residual"] for ci in self.simple_rows], self.n)
         self.rho = reform.rho
 
+    def residual(self, k: int, codes: np.ndarray) -> np.ndarray:
+        """lhs - rhs of row ``k`` before slack and auxiliaries, on chunk codes."""
+        row = self.rows[k]
+        if row["linear"] is not None:
+            return row["linear"].values(codes)
+        return self.tables.lhs.values(k, codes) - row["rhs"]
 
-def _row_penalty(row, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Penalty of one row after closed-form slack minimization, and the slack.
 
-    ``residual`` is lhs - rhs before slack.  Integer coefficients make the
-    optimal slack value unique, so np.rint never sits on a tie.
+def _row_slack(row, residual: np.ndarray) -> np.ndarray:
+    """Optimal slack of an inequality row; integer coefficients make it
+    unique, so np.rint never sits on a tie."""
+    return np.clip(np.rint(-residual if row["sense"] == "<=" else residual),
+                   0.0, row["max_slack"])
+
+
+def _row_penalty(row, residual: np.ndarray) -> np.ndarray:
+    """Penalty of one row after closed-form slack minimization.
+
+    ``residual`` is lhs - rhs before slack; an equality row has no slack.
     """
-    if row["sense"] == "=":
-        return row["weight"] * np.square(residual), np.zeros_like(residual)
-    max_slack = float(row["max_slack"])
     if row["sense"] == "<=":
-        slack = np.clip(np.rint(-residual), 0.0, max_slack)
-        return row["weight"] * np.square(residual + slack), slack
-    slack = np.clip(np.rint(residual), 0.0, max_slack)
-    return row["weight"] * np.square(residual - slack), slack
+        residual = residual + _row_slack(row, residual)
+    elif row["sense"] == ">=":
+        residual = residual - _row_slack(row, residual)
+    return row["weight"] * np.square(residual)
 
 
 def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
@@ -476,10 +473,10 @@ def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
             i, j = scan.pairs[p]
             acc = acc + scan.rho * rosenberg_penalty(bits[i], bits[j], w)
         w_at = dict(zip(members, w_tuple))
-        for ci in row_ids:
-            row = scan.rows[ci]
+        for k in row_ids:
+            row = scan.rows[k]
             shift = sum(q * w_at[p] for p, q in row["pair_pos"])
-            acc = acc + _row_penalty(row, residual[ci] + shift)[0]
+            acc = acc + _row_penalty(row, residual[k] + shift)
         if best is None:
             best, choice = acc, np.zeros(np.shape(acc), dtype=np.int64)
         else:
@@ -493,23 +490,21 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     """Minimal completion energies of the ``codes`` not pruned by ``bound``.
 
     The energy is summed in one fixed order: the closed-form penalties of
-    the product-free rows, then the objective, then the component minima.
-    Every penalty is >= 0 and the objective is at least its floor, so the
-    penalties summed so far plus that floor never exceed the final energy,
-    rounding included.  A code is dropped as soon as that lower bound
-    exceeds ``bound``, and once every code is dropped nothing more is
-    evaluated.  ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``, as
-    the product-free residuals (``scan.simple_residuals``) require.  Returns
-    the kept codes, their objectives and their energies.
+    the product-free rows in checking order, then the objective, then the
+    component minima.  Every penalty is >= 0 and the objective is at least
+    ``scan.floor``, so the penalties summed so far plus that floor never
+    exceed the final energy, rounding included.  A code is dropped as soon
+    as that lower bound exceeds ``bound``, and once every code is dropped
+    nothing more is evaluated.  ``codes`` lie in one aligned chunk of
+    ``2^_CHUNK_BITS``, as the oracle's rows (``scan.tables.lhs``) require.
+    Returns the kept codes, their objectives and their energies.
     """
-    floor = scan.tables.objective.floor()
     energy = np.zeros(codes.shape)
-    for k, ci in enumerate(scan.simple_rows):
+    for k in scan.simple_rows:
         if not codes.size:
             break
-        energy = energy + _row_penalty(scan.rows[ci],
-                                       scan.simple_residuals.values(k, codes))[0]
-        keep = energy + floor <= bound
+        energy = energy + _row_penalty(scan.rows[k], scan.residual(k, codes))
+        keep = energy + scan.floor <= bound
         codes, energy = codes[keep], energy[keep]
     if not codes.size:
         return codes, energy, energy
@@ -517,8 +512,7 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     energy = energy + obj
     n = scan.n
     bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
-    residual = {ci: scan.rows[ci]["residual"].values(codes)
-                for _, row_ids in scan.components for ci in row_ids}
+    residual = {k: scan.residual(k, codes) for _, row_ids in scan.components for k in row_ids}
     for members, row_ids in scan.components:
         energy = energy + _component_minimum(scan, members, row_ids, bits,
                                              residual)[0]
@@ -549,11 +543,12 @@ def verify(reform: Reformulation) -> VerificationReport:
     already exceeds ``T``, a valid lower bound since the gadget and row
     penalties are >= 0, and enumerates auxiliaries only on the rest.  With
     no feasible code ``T`` is infinite and the second pass completes every
-    code, one chunk at a time.  In both passes the rows and the product-free
-    residuals split at bit ``_CHUNK_BITS`` as in the oracle scan: an
-    integral form reads its low bits from a table built for this call, and
-    any other form, the objective included, is summed term by term.  Every
-    code is still evaluated, so the reports are those of an unsplit scan.
+    code, one chunk at a time.  Both passes read the rows the oracle
+    compiles, the second taking a product-free row's residual as its
+    left-hand side minus ``rhs``, so each row has one low-bit table per
+    call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
+    form, the objective included, is summed term by term.  Every code is
+    still evaluated, so the reports are those of an unsplit scan.
     """
     scan = _ScanTables(reform)
     n = scan.n
@@ -637,7 +632,7 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
     codes = np.array([code], dtype=np.int64)
     full = _bit_rows(codes, n)[0].tolist() + [0] * (reform.qubo.num_vars - n)
     bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
-    residual = [row["residual"].values(codes) for row in scan.rows]
+    residual = [scan.residual(k, codes) for k in range(len(scan.rows))]
 
     w_chosen = {}
     for members, row_ids in scan.components:
@@ -646,11 +641,11 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
             w_chosen[p] = w
             full[reform.aux_products[scan.pairs[p]]] = w
 
-    for ci, row in enumerate(scan.rows):
+    for k, row in enumerate(scan.rows):
         if not row["slack_indices"]:
             continue
         shift = sum(q * w_chosen[p] for p, q in row["pair_pos"])
-        slack = int(_row_penalty(row, residual[ci] + shift)[1][0])
-        for k, idx in enumerate(row["slack_indices"]):
-            full[idx] = (slack >> k) & 1
+        slack = int(_row_slack(row, residual[k] + shift)[0])
+        for bit, idx in enumerate(row["slack_indices"]):
+            full[idx] = (slack >> bit) & 1
     return tuple(full)

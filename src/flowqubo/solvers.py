@@ -194,8 +194,8 @@ def _parse_sample_json(data: Mapping) -> SampleSet:
     if seed is not None and not isinstance(seed, int):
         raise SampleFormatError("'seed' must be an integer or null")
     tau = data.get("tau_seconds")
-    if tau is not None and not isinstance(tau, (int, float)):
-        raise SampleFormatError("'tau_seconds' must be a number or null")
+    if tau is not None and not (isinstance(tau, (int, float)) and 0 < tau < math.inf):
+        raise SampleFormatError("'tau_seconds' must be a positive finite number or null")
     status = data.get("status", "ok")
     if not isinstance(status, str):
         raise SampleFormatError("'status' must be a string")
@@ -422,24 +422,27 @@ def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
 class ProgramTables(NamedTuple):
     """A BinaryProgram as linear forms over codes, rows in checking order.
 
-    ``lhs`` evaluates the row left-hand sides on chunk codes; made per
-    call, it holds that call's low-bit tables.
+    Row ``k`` compiles constraint ``order[k]`` of the program.  ``lhs``
+    evaluates the row left-hand sides on chunk codes; made per call, it
+    holds that call's low-bit tables.
     """
 
     rows: tuple[tuple[LinearForm, str, float], ...]   # (lhs, sense, rhs)
+    order: tuple[int, ...]
     objective: LinearForm
     lhs: _ChunkForms
 
 
 def _program_tables(program: BinaryProgram) -> ProgramTables:
     shift = _code_shifts(program)
-    rows = [(_linear_form(shift, con.linear, con.products), con.sense, con.rhs)
-            for con in program.constraints]
+    cons = program.constraints
     # equality rows reject the most codes, so they run first
-    rows.sort(key=lambda row: row[1] != "=")
+    order = sorted(range(len(cons)), key=lambda ci: cons[ci].sense != "=")
+    rows = [(_linear_form(shift, cons[ci].linear, cons[ci].products), cons[ci].sense,
+             cons[ci].rhs) for ci in order]
     objective = _linear_form(shift, program.objective, program.objective_products,
                              program.objective_constant)
-    return ProgramTables(tuple(rows), objective,
+    return ProgramTables(tuple(rows), tuple(order), objective,
                          _ChunkForms([lhs for lhs, _, _ in rows], program.num_vars))
 
 
@@ -482,13 +485,15 @@ def brute_force(model, *, limit: int | None = None) -> SampleSet:
     constant and coefficients are integers with an absolute sum below 2^53
     reads its low ``_CHUNK_BITS`` bits from a table built for this call, once
     it has been evaluated on a chunk's worth of codes; such sums are exact in
-    any order, so the records do not depend on it.  More
-    than ``_VAR_LIMIT`` (24) variables raise
-    :class:`~flowqubo.errors.ExhaustiveLimitError`.
+    any order, so the records do not depend on it.  More than ``_VAR_LIMIT``
+    (24) variables raise :class:`~flowqubo.errors.ExhaustiveLimitError`, and
+    a ``limit`` below 1 raises ``ValueError``.
     """
     if not isinstance(model, (QuboModel, BinaryProgram)):
         raise TypeError(
             f"brute_force expects QuboModel or BinaryProgram, got {type(model)!r}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     if model.num_vars > _VAR_LIMIT:
         raise ExhaustiveLimitError(
             f"{model.num_vars} variables exceed the exhaustive bound of {_VAR_LIMIT}")

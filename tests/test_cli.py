@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowqubo import (
@@ -398,7 +398,15 @@ def bad_input_files(draw):
     return argv, draw(malformed_bodies(doc, required))
 
 
+def _samples_with_tau(tau):
+    argv, doc, _ = _INPUTS["samples"]
+    return argv, json.dumps({**doc, "tau_seconds": tau})
+
+
 @given(bad_input_files())
+@example(_samples_with_tau(0))
+@example(_samples_with_tau(-1.5))
+@example(_samples_with_tau(float("nan")))
 @settings(max_examples=200, deadline=None)
 def test_malformed_input_files_exit_2(case):
     argv, body = case

@@ -518,6 +518,22 @@ def test_verify_matches_dense_reference_without_feasible_points():
     assert not report.passed
 
 
+def test_verify_makes_one_set_of_row_tables(il_reform, monkeypatch):
+    """verify reads the oracle's compiled rows: on il, a scan of many
+    chunks, one call makes one ``_ChunkForms``, with one form per row."""
+    assert il_reform.source.num_vars > solvers._CHUNK_BITS
+    made = []
+    init = solvers._ChunkForms.__init__
+
+    def counting_init(self, forms, n):
+        made.append(len(forms))
+        init(self, forms, n)
+
+    monkeypatch.setattr(solvers._ChunkForms, "__init__", counting_init)
+    assert verify(il_reform).passed
+    assert made == [len(il_reform.normalized)]
+
+
 def test_verify_fails_without_feasible_point():
     # no variables and an unsatisfiable row: no penalty or dominance failure
     # can show, yet there is no feasible optimum to certify

@@ -138,6 +138,17 @@ def test_brute_force_qubo_limit_keeps_lowest():
     assert [r.assignment for r in ss.records] == [(0, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("chunk_bits", [1, 14])
+@pytest.mark.parametrize("limit", [-1, 0])
+def test_brute_force_rejects_limit_below_one(limit, chunk_bits, monkeypatch):
+    # a limit of -1 kept 6 of the 8 records as one chunk and 3 in chunks of
+    # two codes, and a limit of 0 kept none, with status "ok"
+    q = QuboModel.from_terms(3, {(0, 0): 1.0, (1, 1): -2.0, (0, 2): 3.0})
+    monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
+    with pytest.raises(ValueError, match="limit"):
+        brute_force(q, limit=limit)
+
+
 def test_brute_force_var_limit():
     q = QuboModel.from_terms(25, {(0, 0): 1.0})
     with pytest.raises(ExhaustiveLimitError):
