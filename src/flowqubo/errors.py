@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package."""
 
 import json
+import math
 
 
 class FlowQuboError(Exception):
@@ -49,8 +50,8 @@ class SolverError(FlowQuboError):
 
 
 # what converting a JSON document of the wrong shape raises: a missing key, a
-# list where an object belongs, a string where a number belongs, an integer
-# too large for a float
+# list where an object belongs, a string or bool where a number belongs, an
+# integer too large for a float
 JSON_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -91,6 +92,32 @@ def json_str(value) -> str:
     """``value`` if it is a JSON string; ``TypeError`` otherwise, as above."""
     if not isinstance(value, str):
         raise TypeError(f"expected a JSON string, got {type(value).__name__}")
+    return value
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; ``TypeError`` otherwise, as above.
+
+    ``bool`` is a subclass of ``int`` in Python, so ``true`` is refused
+    explicitly, as are a float and a numeric string.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def json_float(value) -> float:
+    """``value`` as a float if it is a finite JSON number.
+
+    A bool, a string or any other non-number raises ``TypeError``, NaN or an
+    infinity ``ValueError``, and an integer too large for a float
+    ``OverflowError``: all of them in :data:`JSON_SHAPE_ERRORS`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
     return value
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     JSON_SHAPE_ERRORS,
     ModelError,
+    json_float,
     json_list,
     json_names,
     json_str,
@@ -143,7 +144,7 @@ class IlDesignSpace:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IlDesignSpace":
         def fmap(key):
-            return {str(k): float(v) for k, v in data[key].items()}
+            return {str(k): json_float(v) for k, v in data[key].items()}
 
         try:
             return cls(
@@ -157,12 +158,12 @@ class IlDesignSpace:
                 c_invest=fmap("c_invest"),
                 c_energy=fmap("c_energy"),
                 alpha=fmap("alpha"),
-                beta={str(s): {str(c): {str(a): float(v) for a, v in row.items()}
+                beta={str(s): {str(c): {str(a): json_float(v) for a, v in row.items()}
                                for c, row in by_c.items()}
                       for s, by_c in data["beta"].items()},
                 f_lower=fmap("f_lower"),
                 f_upper=fmap("f_upper"),
-                demand=float(data["demand"]),
+                demand=json_float(data["demand"]),
                 provenance=str(data.get("provenance", "synthetic")),
             )
         except JSON_SHAPE_ERRORS as exc:
@@ -247,7 +248,7 @@ class DsDesignSpace:
                            outflows=json_names(n["outflows"]))
                     for n in json_list(data["nodes"])
                 ),
-                costs={str(k): float(v) for k, v in data.get("costs", {}).items()},
+                costs={str(k): json_float(v) for k, v in data.get("costs", {}).items()},
                 source=str(data["source"]),
                 sink=str(data["sink"]),
                 configuration_flows=json_names(data["configuration_flows"]),

@@ -19,6 +19,7 @@ from .errors import (
     JSON_SHAPE_ERRORS,
     DimensionError,
     ModelError,
+    json_float,
     json_list,
     json_names,
     read_json,
@@ -101,16 +102,17 @@ class Constraint:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Constraint":
         return cls(
-            linear={str(k): float(v) for k, v in data.get("linear", {}).items()},
+            linear={str(k): json_float(v) for k, v in data.get("linear", {}).items()},
             sense=str(data["sense"]),
-            rhs=float(data["rhs"]),
+            rhs=json_float(data["rhs"]),
             products=_products_from_json(data.get("products", [])),
             label=str(data.get("label", "")),
         )
 
 
 def _products_from_json(value) -> tuple[tuple[str, str, float], ...]:
-    return tuple((str(u), str(v), float(c)) for u, v, c in map(json_list, json_list(value)))
+    return tuple((str(u), str(v), json_float(c))
+                 for u, v, c in map(json_list, json_list(value)))
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,10 @@ class BinaryProgram:
             obj = data.get("objective", {})
             return cls(
                 var_names=json_names(data["var_names"]),
-                objective={str(k): float(v) for k, v in obj.get("linear", {}).items()},
+                objective={str(k): json_float(v) for k, v in obj.get("linear", {}).items()},
                 constraints=tuple(Constraint.from_json_dict(c)
                                   for c in json_list(data.get("constraints", []))),
-                objective_constant=float(obj.get("constant", 0.0)),
+                objective_constant=json_float(obj.get("constant", 0.0)),
                 objective_products=_products_from_json(obj.get("products", [])),
                 projection=json_names(data.get("projection", [])),
             )

@@ -21,6 +21,8 @@ from .errors import (
     JSON_SHAPE_ERRORS,
     DimensionError,
     ModelError,
+    json_float,
+    json_int,
     json_list,
     json_names,
     read_json,
@@ -154,10 +156,10 @@ class QuboModel:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QuboModel":
         try:
-            num_vars = int(data["num_vars"])
-            terms = {(int(i), int(j)): float(v)
+            num_vars = json_int(data["num_vars"])
+            terms = {(json_int(i), json_int(j)): json_float(v)
                      for i, j, v in map(json_list, json_list(data["terms"]))}
-            offset = float(data.get("offset", 0.0))
+            offset = json_float(data.get("offset", 0.0))
             names = data.get("var_names")
             if names is not None:
                 names = json_names(names)

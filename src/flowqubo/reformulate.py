@@ -7,10 +7,10 @@ Rosenberg gadget.  With the default penalty weight (one plus the total
 absolute objective coefficient mass) the QUBO minimum is attained exactly at
 the feasible optima of the source program.
 
-:func:`verify` certifies a reformulation by exhaustive scan: it enumerates
-the source assignments and minimizes the penalty energy over slack and
-auxiliary completions in closed form, so models whose QUBO exceeds the usual
-exhaustive bound are still checkable as long as the source space is small.
+:func:`verify` checks the QUBO term by term against a penalty model, then
+certifies that model by exhaustive scan: it enumerates the source
+assignments and minimizes the energy over slack and auxiliary completions in
+closed form, so a QUBO beyond the usual exhaustive bound is still checkable.
 The scan runs on the oracle's survivor-filtered code kernel and on the rows
 the oracle compiles: a first pass completes only the feasible assignments,
 and a second drops every assignment whose objective plus product-free row
@@ -60,6 +60,9 @@ _INT_TOL = 1e-9
 _MAX_FAILURES = 20
 # verify refuses an auxiliary component with more product pairs than this
 _GROUP_LIMIT = 16
+# verify accepts a QUBO entry this close to its penalty model, relative to
+# the magnitudes summed into it: float sums of k terms stray by about k*2^-53
+_MODEL_RTOL = 1e-12
 
 
 def default_penalty(program: BinaryProgram) -> float:
@@ -128,20 +131,15 @@ class Reformulation:
 
     source: BinaryProgram
     qubo: QuboModel
-    var_map: Mapping[str, int]
     aux_products: Mapping[tuple[int, int], int]
     slack_groups: tuple[SlackGroup, ...]
     rho: float
     constraint_rho: Mapping[str, float] | None = None
-    normalized: tuple[Constraint, ...] = ()
 
     @property
-    def offset(self) -> float:
-        return self.qubo.offset
-
-    @property
-    def num_source_vars(self) -> int:
-        return self.source.num_vars
+    def normalized(self) -> tuple[Constraint, ...]:
+        """The source constraints as :func:`normalize_constraint` rewrites them."""
+        return tuple(normalize_constraint(con) for con in self.source.constraints)
 
     def constraint_weight(self, label: str) -> float:
         if self.constraint_rho and label in self.constraint_rho:
@@ -191,13 +189,13 @@ class Reformulation:
     def sidecar_json_dict(self) -> dict:
         """Mapping data an external consumer needs to interpret the QUBO."""
         names = self.qubo.var_names
-        out = {
+        return {
             "num_source_vars": self.source.num_vars,
             "num_qubo_vars": self.qubo.num_vars,
             "rho": self.rho,
             "constraint_rho": dict(self.constraint_rho) if self.constraint_rho else None,
             "offset": self.qubo.offset,
-            "var_map": {name: idx for name, idx in self.var_map.items()},
+            "var_map": {name: idx for idx, name in enumerate(self.source.var_names)},
             "aux_products": [
                 [names[i], names[j], idx]
                 for (i, j), idx in sorted(self.aux_products.items())
@@ -214,7 +212,6 @@ class Reformulation:
                 for g in self.slack_groups
             ],
         }
-        return out
 
 
 def _near_integer(value: float) -> bool:
@@ -351,12 +348,10 @@ def reformulate(
     return Reformulation(
         source=program,
         qubo=qubo,
-        var_map={name: i for i, name in enumerate(program.var_names)},
         aux_products=aux_products,
         slack_groups=tuple(slack_groups),
         rho=rho,
         constraint_rho=dict(constraint_rho) if constraint_rho else None,
-        normalized=normalized,
     )
 
 
@@ -379,8 +374,9 @@ class _ScanTables:
 
     def __init__(self, reform: Reformulation):
         program = reform.source
+        normalized = reform.normalized
         self.n = program.num_vars
-        self.tables = _program_tables(replace(program, constraints=reform.normalized))
+        self.tables = _program_tables(replace(program, constraints=normalized))
         self.floor = self.tables.objective.floor()
 
         index = {name: i for i, name in enumerate(program.var_names)}
@@ -389,7 +385,7 @@ class _ScanTables:
 
         self.rows = []
         for ci, (lhs, sense, rhs) in zip(self.tables.order, self.tables.rows):
-            con = reform.normalized[ci]
+            con = normalized[ci]
             group = reform.slack_groups[ci]
             pairs = [(pair_pos[key], q) for key, q in _merged_pairs(con, index).items()]
             self.rows.append({
@@ -404,30 +400,19 @@ class _ScanTables:
             })
         self.simple_rows = [k for k, row in enumerate(self.rows) if not row["pair_pos"]]
 
-        # connected components of pairs coupled through shared constraints
-        parent = list(range(len(self.pairs)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for row in self.rows:
-            positions = [p for p, _ in row["pair_pos"]]
-            for other in positions[1:]:
-                ra, rb = find(positions[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        comp_pairs: dict[int, list[int]] = {}
-        for p in range(len(self.pairs)):
-            comp_pairs.setdefault(find(p), []).append(p)
-        self.components = []
-        for members in sorted(comp_pairs.values()):
-            member_set = set(members)
-            row_ids = [k for k, row in enumerate(self.rows)
-                       if {p for p, _ in row["pair_pos"]} & member_set]
-            self.components.append((members, row_ids))
+        # auxiliary components: pairs in one row are coupled, so each product
+        # row merges the components of its pairs; row ids stay in checking
+        # order, and the components are sorted by their lowest pair
+        components = [({p}, []) for p in range(len(self.pairs))]
+        for k, row in enumerate(self.rows):
+            positions = {p for p, _ in row["pair_pos"]}
+            if positions:
+                joined = [c for c in components if c[0] & positions]
+                components = [c for c in components if not c[0] & positions]
+                components.append((set().union(*(c[0] for c in joined)),
+                                   sorted(j for c in joined for j in c[1]) + [k]))
+        self.components = sorted((sorted(members), row_ids)
+                                 for members, row_ids in components)
         self.rho = reform.rho
 
     def residual(self, k: int, codes: np.ndarray) -> np.ndarray:
@@ -436,6 +421,72 @@ class _ScanTables:
         if row["linear"] is not None:
             return row["linear"].values(codes)
         return self.tables.lhs.values(k, codes) - row["rhs"]
+
+
+def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
+    """Raise unless ``reform.qubo`` is the penalty model that ``scan`` minimizes.
+
+    The model is rebuilt from the scan's own records, not from the term
+    loop of :func:`reformulate` or the slack weights: row ``k`` reads
+    ``A[k] . z = b[k]`` over all QUBO variables ``z``, with the compiled
+    linear terms, each merged product pair on its auxiliary and ``+2^bit``
+    (``<=``) or ``-2^bit`` (``>=``) on slack bit ``bit``, and its weight
+    ``W[k]``.  The QUBO is then ``2 triu(A'WA, 1) + diag(diag(A'WA) -
+    2 A'Wb)`` plus the objective and the gadgets, with offset ``const +
+    b'Wb``.  Each entry, and the offset, may differ from the model by
+    ``_MODEL_RTOL`` of the magnitudes summed into it; the first that differs
+    by more raises :class:`~flowqubo.errors.ReformulationError`.
+    """
+    n, size = scan.n, reform.qubo.num_vars
+    a = np.zeros((len(scan.rows), size))
+    for k, ((lhs, sense, _), row) in enumerate(zip(scan.tables.rows, scan.rows)):
+        for shift, coeff in lhs.terms:
+            a[k, n - 1 - shift] += coeff
+        for p, q in row["pair_pos"]:
+            a[k, reform.aux_products[scan.pairs[p]]] += q
+        sign = 1.0 if sense == "<=" else -1.0
+        for bit, idx in enumerate(row["slack_indices"]):
+            a[k, idx] += sign * 2.0 ** bit
+    weight = np.array([row["weight"] for row in scan.rows])
+    rhs = np.array([row["rhs"] for row in scan.rows])
+
+    def penalty(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        m = (a.T * weight) @ a
+        return 2.0 * np.triu(m, 1) + np.diag(np.diag(m) - 2.0 * (a.T @ (weight * b)))
+
+    extra, extra_mass = np.zeros((size, size)), np.zeros((size, size))
+
+    def add(i: int, j: int, value: float) -> None:
+        extra[min(i, j), max(i, j)] += value
+        extra_mass[min(i, j), max(i, j)] += abs(value)
+
+    objective = scan.tables.objective
+    for shift, coeff in objective.terms:
+        add(n - 1 - shift, n - 1 - shift, coeff)
+    for shift_u, shift_v, q in objective.products:
+        add(n - 1 - shift_u, n - 1 - shift_v, q)
+    for i, j in scan.pairs:
+        w = reform.aux_products[(i, j)]
+        for u, v, c in ((i, j, 1.0), (i, w, -2.0), (j, w, -2.0), (w, w, 3.0)):
+            add(u, v, c * scan.rho)
+
+    mass = penalty(np.abs(a), -np.abs(rhs)) + extra_mass
+    expected = penalty(a, rhs) + extra
+    actual = reform.qubo.dense()
+    differs = np.abs(actual - expected) > _MODEL_RTOL * (1.0 + mass)
+    if differs.any():
+        i, j = np.argwhere(differs)[0].tolist()
+        names = reform.qubo.var_names or tuple(map(str, range(size)))
+        raise ReformulationError(
+            f"QUBO term ({names[i]}, {names[j]}) is {float(actual[i, j])!r}, but "
+            f"the penalty model of the source program gives {float(expected[i, j])!r}")
+    penalty_offset = float(weight @ np.square(rhs))
+    offset = objective.const + penalty_offset
+    if abs(reform.qubo.offset - offset) > _MODEL_RTOL * (
+            1.0 + abs(objective.const) + penalty_offset):
+        raise ReformulationError(
+            f"QUBO offset is {reform.qubo.offset!r}, but the penalty model of "
+            f"the source program gives {offset!r}")
 
 
 def _row_slack(row, residual: np.ndarray) -> np.ndarray:
@@ -522,8 +573,10 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
 def verify(reform: Reformulation) -> VerificationReport:
     """Exhaustively certify exactness and penalty dominance.
 
-    For each source assignment the slack bits are optimized in closed form
-    and the auxiliaries by enumeration over their coupling components, which
+    The QUBO must first match the scanned penalty model term by term, or
+    :class:`~flowqubo.errors.ReformulationError` is raised.  For each source
+    assignment the slack bits are optimized in closed form and the
+    auxiliaries by enumeration over their coupling components, which
     reproduces the exact QUBO minimum over completions.  Exactness failures
     are feasible assignments whose minimal completion energy differs from
     the objective; dominance failures are infeasible assignments whose
@@ -560,6 +613,7 @@ def verify(reform: Reformulation) -> VerificationReport:
             raise ExhaustiveLimitError(
                 f"auxiliary component of size {len(members)} exceeds the "
                 f"bound of {_GROUP_LIMIT}")
+    _check_qubo(reform, scan)
     energy_tol = max(1e-6, 10 * _FEAS_TOL)
 
     feasible_count = 0

@@ -45,6 +45,8 @@ from .errors import (
     ModelError,
     SampleFormatError,
     SolverError,
+    json_float,
+    json_int,
     read_json,
     write_json,
 )
@@ -138,9 +140,6 @@ class SampleSet:
     def best(self) -> SampleRecord | None:
         return self.records[0] if self.records else None
 
-    def feasible_records(self) -> tuple[SampleRecord, ...]:
-        return tuple(r for r in self.records if r.feasible)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self, include_tau: bool = True) -> dict:
@@ -184,6 +183,16 @@ class SampleSet:
         return cls.from_json_dict(read_json(path, SampleFormatError))
 
 
+def _sample_number(read, value, what: str):
+    """``read(value)``, with :func:`~flowqubo.errors.json_int` or
+    :func:`~flowqubo.errors.json_float` as ``read``; a value they refuse
+    raises SampleFormatError saying ``what`` it must be."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise SampleFormatError(f"{what} ({exc})") from exc
+
+
 def _parse_sample_json(data: Mapping) -> SampleSet:
     if not isinstance(data, Mapping):
         raise SampleFormatError("sample file must hold a JSON object")
@@ -191,11 +200,14 @@ def _parse_sample_json(data: Mapping) -> SampleSet:
     if not isinstance(solver, str) or not solver:
         raise SampleFormatError("missing or invalid 'solver' field")
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise SampleFormatError("'seed' must be an integer or null")
+    if seed is not None:
+        seed = _sample_number(json_int, seed, "'seed' must be an integer or null")
     tau = data.get("tau_seconds")
-    if tau is not None and not (isinstance(tau, (int, float)) and 0 < tau < math.inf):
-        raise SampleFormatError("'tau_seconds' must be a positive finite number or null")
+    if tau is not None:
+        what = "'tau_seconds' must be a positive finite number or null"
+        tau = _sample_number(json_float, tau, what)
+        if not tau > 0:
+            raise SampleFormatError(what)
     status = data.get("status", "ok")
     if not isinstance(status, str):
         raise SampleFormatError("'status' must be a string")
@@ -214,23 +226,24 @@ def _parse_sample_json(data: Mapping) -> SampleSet:
             width = len(bits)
         elif len(bits) != width:
             raise SampleFormatError(f"record {pos}: inconsistent assignment length")
-        energy = raw.get("energy")
-        if not isinstance(energy, (int, float)) or not math.isfinite(energy):
-            raise SampleFormatError(f"record {pos}: energy must be a finite number")
-        occurrences = raw.get("occurrences", 1)
-        if not isinstance(occurrences, int) or occurrences < 1:
-            raise SampleFormatError(f"record {pos}: occurrences must be a positive integer")
+        energy = _sample_number(json_float, raw.get("energy"),
+                                f"record {pos}: energy must be a finite number")
+        what = f"record {pos}: occurrences must be a positive integer"
+        occurrences = _sample_number(json_int, raw.get("occurrences", 1), what)
+        if occurrences < 1:
+            raise SampleFormatError(what)
         objective = raw.get("objective")
-        if objective is not None and not isinstance(objective, (int, float)):
-            raise SampleFormatError(f"record {pos}: objective must be a number or null")
+        if objective is not None:
+            objective = _sample_number(json_float, objective,
+                                       f"record {pos}: objective must be a finite number or null")
         feasible = raw.get("feasible")
         if feasible is not None and not isinstance(feasible, bool):
             raise SampleFormatError(f"record {pos}: feasible must be a boolean or null")
         records.append(SampleRecord(
             assignment=tuple(int(ch) for ch in bits),
-            energy=float(energy),
+            energy=energy,
             occurrences=occurrences,
-            objective=None if objective is None else float(objective),
+            objective=objective,
             feasible=feasible,
         ))
     metadata = data.get("metadata", {})
@@ -242,7 +255,7 @@ def _parse_sample_json(data: Mapping) -> SampleSet:
     return SampleSet.build(
         records,
         solver,
-        tau=None if tau is None else float(tau),
+        tau=tau,
         seed=seed,
         status=status,
         metadata=metadata,

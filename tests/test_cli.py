@@ -344,8 +344,9 @@ _json_values = st.recursive(
 
 
 def _leaf_paths(value, kind, path=()):
-    """Paths to every value of type ``kind`` in a JSON document."""
-    found = [path] if isinstance(value, kind) else []
+    """Paths to every value of type ``kind`` in a JSON document; a bool
+    counts as no number, though Python makes it an int."""
+    found = [path] if isinstance(value, kind) and not isinstance(value, bool) else []
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
@@ -361,7 +362,7 @@ def malformed_bodies(draw, doc, required):
     """The text of a document that no loader may accept."""
     kind = draw(st.sampled_from(
         ("truncated", "not-an-object", "missing-key", "null-key", "float-overflow",
-         "string-for-list")))
+         "string-for-list", "non-number")))
     if kind == "truncated":
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -377,6 +378,11 @@ def malformed_bodies(draw, doc, required):
         # that calls tuple() on it reads one item per character
         path = draw(st.sampled_from(_leaf_paths(doc, list)))
         value = draw(st.sampled_from(("", "ab", "ab1")))
+    elif kind == "non-number":
+        # a bool or a numeric string where a number belongs; float() reads
+        # both, and Python's bool is an int
+        path = draw(st.sampled_from(_leaf_paths(doc, (int, float))))
+        value = draw(st.sampled_from((True, False, "3", "2.5")))
     else:
         path = draw(st.sampled_from(required))
         value = None

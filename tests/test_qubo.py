@@ -109,6 +109,32 @@ def test_json_round_trip_includes_var_names_key(tmp_path):
     assert again == q
 
 
+def test_qubo_loader_rejects_non_numbers():
+    # num_vars 2.7, index 1.9 and the string "2.5" once loaded as 2, 1 and 2.5
+    with pytest.raises(ModelError, match="malformed QUBO JSON"):
+        QuboModel.from_json_dict({"num_vars": 2.7, "terms": [[1.9, 1, "2.5"], [0, 0, True]]})
+
+
+@pytest.mark.parametrize("path, value", [
+    (("num_vars",), 2.0), (("num_vars",), True), (("num_vars",), "2"),
+    (("terms", 0, 0), 0.0), (("terms", 0, 1), False), (("terms", 0, 1), "1"),
+    (("terms", 1, 2), True), (("terms", 1, 2), "2.5"), (("terms", 1, 2), float("nan")),
+    (("terms", 1, 2), 10 ** 400), (("offset",), "0.5"), (("offset",), False),
+    (("offset",), float("inf")),
+])
+def test_qubo_loader_takes_json_numbers_only(path, value):
+    doc = {"num_vars": 2, "terms": [[0, 1, -1.0], [1, 1, 2]], "offset": 0.5}
+    assert QuboModel.from_json_dict(doc) == QuboModel.from_terms(
+        2, {(0, 1): -1.0, (1, 1): 2.0}, 0.5)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ModelError, match="malformed QUBO JSON"):
+        QuboModel.from_json_dict(doc)
+
+
 def test_ising_transform_frozen_example():
     q = QuboModel.from_terms(2, {(0, 0): 1.0, (0, 1): -2.0, (1, 1): 1.0})
     ising = qubo_to_ising(q)

@@ -13,7 +13,10 @@ from flowqubo import (
     Constraint,
     DimensionError,
     ExhaustiveLimitError,
+    QuboModel,
+    Reformulation,
     ReformulationError,
+    SlackGroup,
     VerificationReport,
     brute_force,
     default_penalty,
@@ -459,8 +462,17 @@ def _reference_verify(reform, tol=1e-9, max_failures=20):
     )
 
 
+def _with_terms(reform, terms, offset=None):
+    """``reform`` with its QUBO's terms, and offset if given, replaced."""
+    qubo = reform.qubo
+    offset = qubo.offset if offset is None else offset
+    return dataclasses.replace(reform, qubo=QuboModel.from_terms(
+        qubo.num_vars, terms, offset, qubo.var_names))
+
+
 def _short_slack(reform):
-    """``reform`` with the top slack bit of every inequality row left out.
+    """``reform`` with the top slack bit of every inequality row left out,
+    from its QUBO terms as well as its slack groups.
 
     The reformulation is then wrong: a feasible point whose row needs the
     missing slack keeps a penalty, which ``verify`` must report.
@@ -468,7 +480,9 @@ def _short_slack(reform):
     groups = tuple(
         dataclasses.replace(g, indices=g.indices[:-1], weights=g.weights[:-1])
         for g in reform.slack_groups)
-    return dataclasses.replace(reform, slack_groups=groups)
+    dropped = {g.indices[-1] for g in reform.slack_groups if g.indices}
+    terms = {key: q for key, q in reform.qubo.terms.items() if not dropped & set(key)}
+    return _with_terms(dataclasses.replace(reform, slack_groups=groups), terms)
 
 
 def _reports_agree(reform):
@@ -543,3 +557,57 @@ def test_verify_fails_without_feasible_point():
     assert report.feasible_count == 0
     assert not report.exactness_failures and not report.dominance_failures
     assert not report.passed
+
+
+def test_reformulation_stores_only_its_encoding_choices():
+    assert [f.name for f in dataclasses.fields(Reformulation)] == [
+        "source", "qubo", "aux_products", "slack_groups", "rho", "constraint_rho"]
+
+
+def test_verify_rejects_a_qubo_without_the_penalty():
+    # the QUBO is the bare objective: (0, 0) reaches 0 below the feasible
+    # optimum 1, and a scan of the bookkeeping alone would pass it
+    prog = _program({"a": 1.0, "b": 1.0},
+                    [Constraint({"a": 1.0, "b": 1.0}, "=", 1.0, label="one")])
+    bare = Reformulation(
+        source=prog, qubo=QuboModel.from_terms(2, {(0, 0): 1.0, (1, 1): 1.0}),
+        aux_products={}, slack_groups=(SlackGroup(0, "one", "=", (), (), 0),),
+        rho=3.0)
+    assert brute_force(bare.qubo).best().energy == 0.0
+    with pytest.raises(ReformulationError, match=r"term \(0, 0\)"):
+        verify(bare)
+    # with the penalty QUBO the hand-built object passes, its rows derived
+    # from the source program
+    report = verify(dataclasses.replace(bare, qubo=reformulate(prog, rho=3.0).qubo))
+    assert report.passed
+    assert (report.feasible_count, report.feasible_optimum) == (2, 1.0)
+
+
+def test_verify_rejects_a_wrong_slack_coupling_on_il(il_reform):
+    names = il_reform.qubo.var_names
+    key = (names.index("slack[6.0]"), names.index("slack[6.1]"))
+    terms = dict(il_reform.qubo.terms)
+    terms[key] -= 1e5
+    with pytest.raises(ReformulationError,
+                       match=r"term \(slack\[6\.0\], slack\[6\.1\]\)"):
+        verify(_with_terms(il_reform, terms))
+
+
+@given(solvable_programs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_verify_rejects_any_moved_qubo_term(prog, data):
+    """Moving one QUBO term, or the offset, by 1e-6 * (1 + |value|) fails
+    the term-by-term check against the scanned penalty model."""
+    reform = reformulate(prog, rho=data.draw(st.sampled_from((None, 0.5, 1 / 3))))
+    verify(reform)
+    terms = dict(reform.qubo.terms)
+    key = data.draw(st.sampled_from(sorted(terms) + ["offset"]))
+    sign = data.draw(st.sampled_from((-1.0, 1.0)))
+    if key == "offset":
+        offset = reform.qubo.offset
+        moved = _with_terms(reform, terms, offset + sign * 1e-6 * (1 + abs(offset)))
+    else:
+        terms[key] += sign * 1e-6 * (1 + abs(terms[key]))
+        moved = _with_terms(reform, terms)
+    with pytest.raises(ReformulationError, match="penalty model"):
+        verify(moved)
