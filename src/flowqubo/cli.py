@@ -74,15 +74,13 @@ def _load_case(args):
     """Return (program, design space or None) for the selected case."""
     case = args.case
     if case == "custom":
-        model_path = getattr(args, "model", None)
-        if not model_path:
+        if not args.model:
             raise ModelError("--model is required with --case custom")
-        return BinaryProgram.load(model_path), None
-    params = getattr(args, "params", None)
+        return BinaryProgram.load(args.model), None
     if case == "il":
-        space = IlDesignSpace.load(params) if params else load_default_il_space()
+        space = IlDesignSpace.load(args.params) if args.params else load_default_il_space()
         return build_il_discrete(space), space
-    space = DsDesignSpace.load(params) if params else load_default_ds_space()
+    space = DsDesignSpace.load(args.params) if args.params else load_default_ds_space()
     return build_ds_discrete(space), space
 
 
@@ -121,7 +119,7 @@ def _cmd_build(args) -> int:
     _write_json(outdir / "reformulation.json", reform.sidecar_json_dict())
     _echo_run_config(
         outdir, command="build", case=args.case,
-        model=getattr(args, "model", None), params=args.params, rho=reform.rho,
+        model=args.model, params=args.params, rho=reform.rho,
     )
     print(f"case: {args.case}")
     print(f"binary variables: {program.num_vars}")
@@ -167,7 +165,7 @@ def _cmd_solve(args) -> int:
     samples.save(outdir / "samples.json", include_tau=args.record_tau)
     _echo_run_config(
         outdir, command="solve", case=args.case, solver=args.solver,
-        model=getattr(args, "model", None), params=args.params,
+        model=args.model, params=args.params,
         seed=seed if args.solver == "sa" else None, rho=rho,
         reads=args.reads if args.solver == "sa" else None,
         sweeps=args.sweeps if args.solver == "sa" else None,
@@ -222,7 +220,7 @@ def _cmd_report(args) -> int:
         outdir, command="report", case=args.case, samples=str(args.samples),
         reference=str(args.reference) if args.reference else None,
         target=args.target, s=args.s,
-        model=getattr(args, "model", None), params=args.params,
+        model=args.model, params=args.params,
     )
     parts = [f"solver={report.solver}", f"tau={report.tau}"]
     if report.p_opt is not None:
@@ -284,14 +282,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_case_options(sub, with_model: bool = True) -> None:
+def _add_case_options(sub) -> None:
     sub.add_argument("--case", choices=("il", "ds", "custom"), default="il",
                      help="bundled case study, or 'custom' with --model")
     sub.add_argument("--params", default=None, metavar="JSON",
                      help="design-space file overriding the bundled data")
-    if with_model:
-        sub.add_argument("--model", default=None, metavar="JSON",
-                         help="binary program file (required for --case custom)")
+    sub.add_argument("--model", default=None, metavar="JSON",
+                     help="binary program file (required for --case custom)")
     sub.add_argument("--out", default=None, metavar="DIR",
                      help="output directory (default: $FLOWQUBO_OUT_DIR "
                           "or ./flowqubo-out)")

@@ -164,7 +164,7 @@ class IlDesignSpace:
                 f_lower=fmap("f_lower"),
                 f_upper=fmap("f_upper"),
                 demand=json_float(data["demand"]),
-                provenance=str(data.get("provenance", "synthetic")),
+                provenance=json_str(data.get("provenance", "synthetic")),
             )
         except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed il design-space JSON: {exc!r}") from exc
@@ -249,13 +249,13 @@ class DsDesignSpace:
                     for n in json_list(data["nodes"])
                 ),
                 costs={str(k): json_float(v) for k, v in data.get("costs", {}).items()},
-                source=str(data["source"]),
-                sink=str(data["sink"]),
+                source=json_str(data["source"]),
+                sink=json_str(data["sink"]),
                 configuration_flows=json_names(data["configuration_flows"]),
                 logic_rules=tuple(Constraint.from_json_dict(r)
                                   for r in json_list(data.get("logic_rules", []))),
-                units={str(k): str(v) for k, v in data.get("units", {}).items()},
-                provenance=str(data.get("provenance", "synthetic")),
+                units={str(k): json_str(v) for k, v in data.get("units", {}).items()},
+                provenance=json_str(data.get("provenance", "synthetic")),
             )
         except JSON_SHAPE_ERRORS as exc:
             raise ModelError(f"malformed ds design-space JSON: {exc!r}") from exc

@@ -22,6 +22,7 @@ from .errors import (
     json_float,
     json_list,
     json_names,
+    json_str,
     read_json,
     write_json,
 )
@@ -35,16 +36,19 @@ __all__ = [
 ]
 
 SENSES = ("=", "<=", ">=")
+# the one feasibility tolerance: decode, the oracle, branch and bound and
+# verify all judge a row by it
+_FEAS_TOL = 1e-9
 
 
-def row_holds(sense: str, lhs, rhs: float, tol: float):
-    """Whether ``lhs <sense> rhs`` holds within ``tol``; elementwise for an
-    array ``lhs``."""
+def row_holds(sense: str, lhs, rhs: float):
+    """Whether ``lhs <sense> rhs`` holds within ``_FEAS_TOL``; elementwise
+    for an array ``lhs``."""
     if sense == "=":
-        return abs(lhs - rhs) <= tol
+        return abs(lhs - rhs) <= _FEAS_TOL
     if sense == "<=":
-        return lhs <= rhs + tol
-    return lhs >= rhs - tol
+        return lhs <= rhs + _FEAS_TOL
+    return lhs >= rhs - _FEAS_TOL
 
 
 def _check_products(products) -> tuple[tuple[str, str, float], ...]:
@@ -87,8 +91,8 @@ class Constraint:
             total += coeff * values[u] * values[v]
         return total
 
-    def satisfied(self, values: Mapping[str, int], tol: float = 1e-9) -> bool:
-        return row_holds(self.sense, self.value(values), self.rhs, tol)
+    def satisfied(self, values: Mapping[str, int]) -> bool:
+        return row_holds(self.sense, self.value(values), self.rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,15 +107,15 @@ class Constraint:
     def from_json_dict(cls, data: Mapping) -> "Constraint":
         return cls(
             linear={str(k): json_float(v) for k, v in data.get("linear", {}).items()},
-            sense=str(data["sense"]),
+            sense=json_str(data["sense"]),
             rhs=json_float(data["rhs"]),
             products=_products_from_json(data.get("products", [])),
-            label=str(data.get("label", "")),
+            label=json_str(data.get("label", "")),
         )
 
 
 def _products_from_json(value) -> tuple[tuple[str, str, float], ...]:
-    return tuple((str(u), str(v), json_float(c))
+    return tuple((json_str(u), json_str(v), json_float(c))
                  for u, v, c in map(json_list, json_list(value)))
 
 
@@ -185,13 +189,13 @@ class BinaryProgram:
             total += coeff * values[u] * values[v]
         return total
 
-    def violations(self, assignment: Sequence[int], tol: float = 1e-9) -> list[str]:
+    def violations(self, assignment: Sequence[int]) -> list[str]:
         """Labels of all constraints the assignment violates."""
         values = self.as_map(assignment)
-        return [c.label for c in self.constraints if not c.satisfied(values, tol)]
+        return [c.label for c in self.constraints if not c.satisfied(values)]
 
-    def is_feasible(self, assignment: Sequence[int], tol: float = 1e-9) -> bool:
-        return not self.violations(assignment, tol)
+    def is_feasible(self, assignment: Sequence[int]) -> bool:
+        return not self.violations(assignment)
 
     def project(self, assignment: Sequence[int]) -> tuple[int, ...]:
         """The bits of the projection variables; all of them when the

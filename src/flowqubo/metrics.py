@@ -280,7 +280,6 @@ def build_ttt_report(
     s: float = 0.99,
     optimal_target: OptimalityTarget | None = None,
     feasible_target: AllFeasibleTarget | None = None,
-    solver: str | None = None,
 ) -> TttReport:
     tau = samples.tau
     p_opt = p_feas = ttt_opt = ttt_feas = None
@@ -301,7 +300,7 @@ def build_ttt_report(
         coverage_found = len(found & ref_keys)
         coverage_total = len(ref_keys)
     return TttReport(
-        solver=solver or samples.solver,
+        solver=samples.solver,
         s=s,
         tau=tau,
         p_opt=p_opt,

@@ -31,10 +31,9 @@ from .errors import (
     ExhaustiveLimitError,
     ReformulationError,
 )
-from .ip import BinaryProgram, Constraint, normalize_constraint
+from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint
 from .qubo import QuboModel
 from .solvers import (
-    _FEAS_TOL,
     _VAR_LIMIT,
     SampleRecord,
     SampleSet,
@@ -42,6 +41,7 @@ from .solvers import (
     _code_chunks,
     _feasible_codes,
     _program_tables,
+    _row_evaluator,
 )
 
 __all__ = [
@@ -358,6 +358,29 @@ def reformulate(
 # -- exhaustive certification --------------------------------------------------
 
 
+def _check_layout(reform: Reformulation,
+                  con_pairs: Sequence[Mapping[tuple[int, int], float]]) -> None:
+    """Raise :class:`~flowqubo.errors.ReformulationError` unless ``reform``
+    has one slack group per source constraint, an auxiliary for every pair
+    in ``con_pairs`` (the merged product pairs of the normalized rows), and
+    every slack and auxiliary index in ``[source.num_vars, qubo.num_vars)``,
+    each used once."""
+    n, size = reform.source.num_vars, reform.qubo.num_vars
+    if len(reform.slack_groups) != len(con_pairs):
+        raise ReformulationError(
+            f"{len(reform.slack_groups)} slack groups for {len(con_pairs)} constraints")
+    missing = sorted({key for pairs in con_pairs for key in pairs} - set(reform.aux_products))
+    if missing:
+        raise ReformulationError(f"product pair {missing[0]} has no auxiliary variable")
+    used = [*reform.aux_products.values(), *(i for g in reform.slack_groups for i in g.indices)]
+    for idx in used:
+        if not n <= idx < size:
+            raise ReformulationError(
+                f"auxiliary or slack index {idx} lies outside [{n}, {size})")
+        if used.count(idx) > 1:
+            raise ReformulationError(f"auxiliary or slack index {idx} is used twice")
+
+
 class _ScanTables:
     """Precomputed structure for the decomposition scan in :func:`verify`.
 
@@ -369,17 +392,23 @@ class _ScanTables:
 
     ``rows[k]`` is the penalty data of the oracle's compiled row ``k``
     (``tables.rows[k]``); a product row also keeps its linear part, since
-    auxiliaries stand in for its products.
+    auxiliaries stand in for its products.  ``checks[k]`` is that row's
+    ``(evaluate, sense, rhs)`` from :func:`~flowqubo.solvers._row_evaluator`,
+    made once here, so each row has one low-bit table per call.
     """
 
     def __init__(self, reform: Reformulation):
         program = reform.source
         normalized = reform.normalized
         self.n = program.num_vars
+        index = {name: i for i, name in enumerate(program.var_names)}
+        con_pairs = [_merged_pairs(con, index) for con in normalized]
+        _check_layout(reform, con_pairs)
         self.tables = _program_tables(replace(program, constraints=normalized))
+        self.checks = [(_row_evaluator(lhs, self.n), sense, rhs)
+                       for lhs, sense, rhs in self.tables.rows]
         self.floor = self.tables.objective.floor()
 
-        index = {name: i for i, name in enumerate(program.var_names)}
         self.pairs = sorted(reform.aux_products)          # [(i, j)]
         pair_pos = {p: k for k, p in enumerate(self.pairs)}
 
@@ -387,7 +416,7 @@ class _ScanTables:
         for ci, (lhs, sense, rhs) in zip(self.tables.order, self.tables.rows):
             con = normalized[ci]
             group = reform.slack_groups[ci]
-            pairs = [(pair_pos[key], q) for key, q in _merged_pairs(con, index).items()]
+            pairs = [(pair_pos[key], q) for key, q in con_pairs[ci].items()]
             self.rows.append({
                 "rhs": rhs,
                 "sense": sense,
@@ -420,7 +449,7 @@ class _ScanTables:
         row = self.rows[k]
         if row["linear"] is not None:
             return row["linear"].values(codes)
-        return self.tables.lhs.values(k, codes) - row["rhs"]
+        return self.checks[k][0](codes) - row["rhs"]
 
 
 def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
@@ -547,7 +576,7 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     exceed the final energy, rounding included.  A code is dropped as soon
     as that lower bound exceeds ``bound``, and once every code is dropped
     nothing more is evaluated.  ``codes`` lie in one aligned chunk of
-    ``2^_CHUNK_BITS``, as the oracle's rows (``scan.tables.lhs``) require.
+    ``2^_CHUNK_BITS``, as the row evaluators (``scan.checks``) require.
     Returns the kept codes, their objectives and their energies.
     """
     energy = np.zeros(codes.shape)
@@ -573,7 +602,9 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
 def verify(reform: Reformulation) -> VerificationReport:
     """Exhaustively certify exactness and penalty dominance.
 
-    The QUBO must first match the scanned penalty model term by term, or
+    The slack groups and auxiliaries must first fit the source program and
+    the QUBO (:func:`_check_layout`), and the QUBO must match the scanned
+    penalty model term by term, or
     :class:`~flowqubo.errors.ReformulationError` is raised.  For each source
     assignment the slack bits are optimized in closed form and the
     auxiliaries by enumeration over their coupling components, which
@@ -597,11 +628,12 @@ def verify(reform: Reformulation) -> VerificationReport:
     penalties are >= 0, and enumerates auxiliaries only on the rest.  With
     no feasible code ``T`` is infinite and the second pass completes every
     code, one chunk at a time.  Both passes read the rows the oracle
-    compiles, the second taking a product-free row's residual as its
-    left-hand side minus ``rhs``, so each row has one low-bit table per
-    call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
-    form, the objective included, is summed term by term.  Every code is
-    still evaluated, so the reports are those of an unsplit scan.
+    compiles through one evaluator per row, made when the call starts, the
+    second taking a product-free row's residual as that evaluator's value
+    minus ``rhs``, so each row has one low-bit table per call, split at bit
+    ``_CHUNK_BITS`` as in the oracle scan; any other form, the objective
+    included, is summed term by term.  Every code is still evaluated, so the
+    reports are those of an unsplit scan.
     """
     scan = _ScanTables(reform)
     n = scan.n
@@ -621,7 +653,7 @@ def verify(reform: Reformulation) -> VerificationReport:
     feasible_min_energy = np.inf
     exactness = []
     for codes in _code_chunks(n):
-        codes = _feasible_codes(scan.tables, codes)
+        codes = _feasible_codes(scan.checks, codes)
         if not codes.size:
             continue
         _, obj, energy = _completion_energies(scan, codes)
@@ -645,7 +677,7 @@ def verify(reform: Reformulation) -> VerificationReport:
             best_energy = float(energy[chunk_best])
             best_k = int(codes[chunk_best])
         if feasible_count:
-            infeasible = ~np.isin(codes, _feasible_codes(scan.tables, codes))
+            infeasible = ~np.isin(codes, _feasible_codes(scan.checks, codes))
             flagged = infeasible & (energy <= feasible_opt + _FEAS_TOL)
             dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
                                                     codes[flagged].tolist())))

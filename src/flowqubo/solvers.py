@@ -11,11 +11,12 @@ and :mod:`ip`:
   searches the same compiled rows.  The codes of a chunk share their high
   bits, so a row whose coefficients are integers is split there: its high
   part is one number per chunk and its low part a table of ``2^_CHUNK_BITS``
-  sums built once per call, read by one gather per row.  Only the
-  evaluation is split (meet-in-the-middle style, after Horowitz & Sahni,
-  J. ACM 21(2):277, 1974): every code still gets every row value until a
-  row rejects it, and no chunk is skipped on a bound.  Rows with other
-  coefficients, and scans of one chunk, evaluate term by term,
+  sums, read by one gather per row; :func:`_row_evaluator` builds one per
+  row when a scan call starts.  Only the evaluation is split
+  (meet-in-the-middle style, after Horowitz & Sahni, J. ACM 21(2):277,
+  1974): every code still gets every row value until a row rejects it, and
+  no chunk is skipped on a bound.  Rows with other coefficients, and scans
+  of one chunk, evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
   greedily and flips one colour class per numpy step, all reads at once,
@@ -50,7 +51,7 @@ from .errors import (
     read_json,
     write_json,
 )
-from .ip import BinaryProgram, row_holds
+from .ip import _FEAS_TOL, BinaryProgram, row_holds
 from .qubo import QuboModel
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "derived_beta_schedule",
 ]
 
-_FEAS_TOL = 1e-9
 # 2^14 int64 codes per chunk keep each temporary array, and each row's low-bit
 # table, at 128 KB: on a 2-core Xeon VM a fresh process scanned il in
 # 0.12-0.17 s this way, in 0.17-0.23 s with 2^12 codes per chunk and in
@@ -354,73 +354,43 @@ class LinearForm(NamedTuple):
         return total
 
 
-class _ChunkForms:
-    """The values of a sequence of linear forms on the codes of one chunk.
+def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``form.values`` for one scan call over codes of ``n`` variables.
 
-    One instance serves one scan call: ``values(k, codes)`` is
-    ``forms[k].values(codes)`` for non-empty ``codes`` that lie in one
-    aligned chunk of ``2^_CHUNK_BITS`` (a chunk of :func:`_code_chunks` or a
-    subset of one).  The codes of such a chunk share their high bits, so a
-    form whose constant and coefficients are integers with an absolute sum
-    below 2^53 is split there: the constant and the high-bit terms are one
-    :meth:`LinearForm.value` per chunk, and the low-bit terms are read from
-    a table of their ``2^_CHUNK_BITS`` sums.  Every partial sum of such a
-    form is an exact integer, so the split gives the floats of
-    :meth:`LinearForm.values` in any summation order.  A product with one
-    bit on each side is still summed term by term; any other form keeps
-    :meth:`LinearForm.values`.
-
-    A form runs :meth:`LinearForm.values` until it has been evaluated on
-    ``2^_CHUNK_BITS`` codes, as many as its table would hold, and is split
-    then.  The tables go with the instance, so none outlives the call.
-    ``_CHUNK_BITS`` is read when the instance is made; a scan of
-    ``n <= _CHUNK_BITS`` variables is one chunk and builds no table.
+    The evaluator takes non-empty codes that lie in one aligned chunk of
+    ``2^_CHUNK_BITS`` (a chunk of :func:`_code_chunks` or a subset of one).
+    The codes of such a chunk share their high bits, so when ``n`` exceeds
+    ``_CHUNK_BITS``, a form whose constant and coefficients are integers
+    with an absolute sum below 2^53 is split there: the constant and the
+    high-bit terms are one :meth:`LinearForm.value` per chunk, and the
+    low-bit terms are read from a table of their ``2^_CHUNK_BITS`` sums,
+    built here.  Every partial sum of such a form is an exact integer, so
+    the split gives the floats of :meth:`LinearForm.values` in any summation
+    order.  A product with one bit on each side is still summed term by
+    term; any other form, and any scan of one chunk, keeps
+    :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is read at each call.
     """
+    cut = _CHUNK_BITS
+    coeffs = [form.const] + [c for *_, c in form.terms + form.products]
+    if n <= cut or not all(float(c).is_integer() for c in coeffs) \
+            or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
+        return form.values
+    high = LinearForm(form.const, tuple(t for t in form.terms if t[0] >= cut),
+                      tuple(p for p in form.products if p[0] >= cut and p[1] >= cut))
+    low = LinearForm(0.0, tuple(t for t in form.terms if t[0] < cut),
+                     tuple(p for p in form.products if p[0] < cut and p[1] < cut)
+                     ).values(np.arange(1 << cut, dtype=np.int64))
+    cross = tuple(p for p in form.products if (p[0] < cut) != (p[1] < cut))
 
-    def __init__(self, forms: Sequence[LinearForm], n: int):
-        self.forms = tuple(forms)
-        self.cut = _CHUNK_BITS
-        self.break_even = 1 << self.cut if n > self.cut else math.inf
-        self.seen = [0] * len(self.forms)
-        self.evaluators: list = [None] * len(self.forms)
+    def values(codes: np.ndarray) -> np.ndarray:
+        # a whole chunk reads the table as it is; survivors gather from it
+        table = low if codes.size == low.size else low[codes & (low.size - 1)]
+        out = table + high.value(int(codes[0]))   # high reads no low bit
+        for shift_u, shift_v, coeff in cross:
+            out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
+        return out
 
-    def values(self, k: int, codes: np.ndarray) -> np.ndarray:
-        evaluate = self.evaluators[k]
-        if evaluate is None:
-            if self.seen[k] < self.break_even:
-                self.seen[k] += codes.size
-                return self.forms[k].values(codes)
-            evaluate = self.evaluators[k] = self._split(self.forms[k])
-        return evaluate(codes)
-
-    def _split(self, form: LinearForm) -> Callable[[np.ndarray], np.ndarray]:
-        cut = self.cut
-        coeffs = [form.const] + [c for *_, c in form.terms + form.products]
-        if not all(float(c).is_integer() for c in coeffs) \
-                or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
-            return form.values
-        high = LinearForm(form.const, tuple(t for t in form.terms if t[0] >= cut),
-                          tuple(p for p in form.products if p[0] >= cut and p[1] >= cut))
-        low = LinearForm(0.0, tuple(t for t in form.terms if t[0] < cut),
-                         tuple(p for p in form.products if p[0] < cut and p[1] < cut)
-                         ).values(np.arange(1 << cut, dtype=np.int64))
-        cross = tuple(p for p in form.products if (p[0] < cut) != (p[1] < cut))
-
-        def values(codes: np.ndarray) -> np.ndarray:
-            # a whole chunk reads the table as it is; survivors gather from it
-            table = low if codes.size == low.size else low[codes & (low.size - 1)]
-            out = table + high.value(int(codes[0]))   # high reads no low bit
-            for shift_u, shift_v, coeff in cross:
-                out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
-            return out
-
-        return values
-
-
-def _code_shifts(program: BinaryProgram) -> dict[str, int]:
-    """Each variable's shift in a code: variable 0 is the most significant bit."""
-    n = program.num_vars
-    return {name: n - 1 - i for i, name in enumerate(program.var_names)}
+    return values
 
 
 def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
@@ -433,21 +403,17 @@ def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
 
 
 class ProgramTables(NamedTuple):
-    """A BinaryProgram as linear forms over codes, rows in checking order.
-
-    Row ``k`` compiles constraint ``order[k]`` of the program.  ``lhs``
-    evaluates the row left-hand sides on chunk codes; made per call, it
-    holds that call's low-bit tables.
-    """
+    """A BinaryProgram as linear forms over codes, rows in checking order;
+    row ``k`` compiles constraint ``order[k]`` of the program."""
 
     rows: tuple[tuple[LinearForm, str, float], ...]   # (lhs, sense, rhs)
     order: tuple[int, ...]
     objective: LinearForm
-    lhs: _ChunkForms
 
 
 def _program_tables(program: BinaryProgram) -> ProgramTables:
-    shift = _code_shifts(program)
+    # each variable's shift in a code: variable 0 is the most significant bit
+    shift = {name: program.num_vars - 1 - i for i, name in enumerate(program.var_names)}
     cons = program.constraints
     # equality rows reject the most codes, so they run first
     order = sorted(range(len(cons)), key=lambda ci: cons[ci].sense != "=")
@@ -455,25 +421,25 @@ def _program_tables(program: BinaryProgram) -> ProgramTables:
              cons[ci].rhs) for ci in order]
     objective = _linear_form(shift, program.objective, program.objective_products,
                              program.objective_constant)
-    return ProgramTables(tuple(rows), tuple(order), objective,
-                         _ChunkForms([lhs for lhs, _, _ in rows], program.num_vars))
+    return ProgramTables(tuple(rows), tuple(order), objective)
 
 
-def _feasible_codes(tables: ProgramTables, codes: np.ndarray) -> np.ndarray:
+def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     """The codes among ``codes`` that satisfy every row, in their order.
 
-    ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``.  Each row is
-    evaluated only on the codes that survived the rows before it, and drops
-    the ones it rejects.  An integral row reads its low bits from the call's
-    table (:class:`_ChunkForms`) and sums its high bits once per chunk; that
-    changes how a value is summed, not which codes get one.  Every code is
-    still tested until a row rejects it, and no chunk is skipped on a bound,
-    so the scan stays exhaustive.
+    ``checks`` holds one ``(evaluate, sense, rhs)`` per row, in checking
+    order, and ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``.
+    Each row is evaluated only on the codes that survived the rows before
+    it, and drops the ones it rejects.  An integral row's evaluator reads
+    its low bits from a table built for the call (:func:`_row_evaluator`);
+    that changes how a value is summed, not which codes get one.  Every
+    code is still tested until a row rejects it, and no chunk is skipped on
+    a bound, so the scan stays exhaustive.
     """
-    for k, (_, sense, rhs) in enumerate(tables.rows):
+    for evaluate, sense, rhs in checks:
         if not codes.size:
             break
-        codes = codes[row_holds(sense, tables.lhs.values(k, codes), rhs, _FEAS_TOL)]
+        codes = codes[row_holds(sense, evaluate(codes), rhs)]
     return codes
 
 
@@ -496,9 +462,9 @@ def brute_force(model, *, limit: int | None = None) -> SampleSet:
     only on the codes that survive every row, and a chunk with no survivor
     costs nothing more.  When ``n`` exceeds ``_CHUNK_BITS``, a row whose
     constant and coefficients are integers with an absolute sum below 2^53
-    reads its low ``_CHUNK_BITS`` bits from a table built for this call, once
-    it has been evaluated on a chunk's worth of codes; such sums are exact in
-    any order, so the records do not depend on it.  More than ``_VAR_LIMIT``
+    reads its low ``_CHUNK_BITS`` bits from a table built when the call
+    starts (:func:`_row_evaluator`); such sums are exact in any order, so
+    the records do not depend on it.  More than ``_VAR_LIMIT``
     (24) variables raise :class:`~flowqubo.errors.ExhaustiveLimitError`, and
     a ``limit`` below 1 raises ``ValueError``.
     """
@@ -544,11 +510,12 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
     n = program.num_vars
     t0 = time.perf_counter()
     tables = _program_tables(program)
+    checks = [(_row_evaluator(lhs, n), sense, rhs) for lhs, sense, rhs in tables.rows]
     proj_names = program.projection or program.var_names
     proj_idx = [program.index(name) for name in proj_names]
     pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
     for codes in _code_chunks(n):
-        codes = _feasible_codes(tables, codes)
+        codes = _feasible_codes(checks, codes)
         if not codes.size:
             continue
         rows = _bit_rows(codes, n)

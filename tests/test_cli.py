@@ -362,7 +362,7 @@ def malformed_bodies(draw, doc, required):
     """The text of a document that no loader may accept."""
     kind = draw(st.sampled_from(
         ("truncated", "not-an-object", "missing-key", "null-key", "float-overflow",
-         "string-for-list", "non-number")))
+         "string-for-list", "non-number", "non-string")))
     if kind == "truncated":
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -383,6 +383,11 @@ def malformed_bodies(draw, doc, required):
         # both, and Python's bool is an int
         path = draw(st.sampled_from(_leaf_paths(doc, (int, float))))
         value = draw(st.sampled_from((True, False, "3", "2.5")))
+    elif kind == "non-string":
+        # null, a number or a list where a string belongs; str() reads them
+        # all, as "None", "3" and "['x', 1]"
+        path = draw(st.sampled_from(_leaf_paths(doc, str)))
+        value = draw(st.sampled_from((None, 3, ["x", 1])))
     else:
         path = draw(st.sampled_from(required))
         value = None
@@ -409,10 +414,18 @@ def _samples_with_tau(tau):
     return argv, json.dumps({**doc, "tau_seconds": tau})
 
 
+def _model_with_label(label):
+    argv, doc, _ = _INPUTS["model"]
+    doc = copy.deepcopy(doc)
+    doc["constraints"][0]["label"] = label
+    return argv, json.dumps(doc)
+
+
 @given(bad_input_files())
 @example(_samples_with_tau(0))
 @example(_samples_with_tau(-1.5))
 @example(_samples_with_tau(float("nan")))
+@example(_model_with_label(None))
 @settings(max_examples=200, deadline=None)
 def test_malformed_input_files_exit_2(case):
     argv, body = case

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_solvers import solvable_programs
+from test_solvers import count_row_evaluators, solvable_programs
 
 from flowqubo import (
     BinaryProgram,
@@ -534,18 +534,14 @@ def test_verify_matches_dense_reference_without_feasible_points():
 
 def test_verify_makes_one_set_of_row_tables(il_reform, monkeypatch):
     """verify reads the oracle's compiled rows: on il, a scan of many
-    chunks, one call makes one ``_ChunkForms``, with one form per row."""
+    chunks, one call makes one row evaluator, and so one low-bit table, per
+    row, and the next call makes its own."""
     assert il_reform.source.num_vars > solvers._CHUNK_BITS
-    made = []
-    init = solvers._ChunkForms.__init__
-
-    def counting_init(self, forms, n):
-        made.append(len(forms))
-        init(self, forms, n)
-
-    monkeypatch.setattr(solvers._ChunkForms, "__init__", counting_init)
+    made = count_row_evaluators(monkeypatch)
     assert verify(il_reform).passed
-    assert made == [len(il_reform.normalized)]
+    assert len(made) == len(il_reform.normalized)
+    assert verify(il_reform).passed
+    assert len(made) == 2 * len(il_reform.normalized)
 
 
 def test_verify_fails_without_feasible_point():
@@ -591,6 +587,43 @@ def test_verify_rejects_a_wrong_slack_coupling_on_il(il_reform):
     with pytest.raises(ReformulationError,
                        match=r"term \(slack\[6\.0\], slack\[6\.1\]\)"):
         verify(_with_terms(il_reform, terms))
+
+
+def _one_slack_row():
+    # two variables and one <= row: the QUBO has one slack bit, index 2
+    return reformulate(_program({"a": 1.0, "b": 1.0},
+                                [Constraint({"a": 1.0, "b": 1.0}, "<=", 1.0)]))
+
+
+def _one_product_row():
+    # b*c in a <= row: auxiliary 3 and slack bit 4
+    return reformulate(_program({"a": 1.0}, [Constraint({"a": 1.0}, "<=", 1.0,
+                                                         products=(("b", "c", 1.0),))],
+                                names=("a", "b", "c")))
+
+
+def _moved_slack(reform, index):
+    return (dataclasses.replace(reform.slack_groups[0], indices=(index,)),)
+
+
+@pytest.mark.parametrize("make, fields, message", [
+    (_one_slack_row, lambda r: {"slack_groups": ()}, "0 slack groups for 1 constraints"),
+    (_one_slack_row, lambda r: {"slack_groups": _moved_slack(r, 7)},
+     r"auxiliary or slack index 7 lies outside \[2, 3\)"),
+    (_one_slack_row, lambda r: {"aux_products": {(0, 1): 9}},
+     r"auxiliary or slack index 9 lies outside \[2, 3\)"),
+    (_one_product_row, lambda r: {"aux_products": {}},
+     r"product pair \(1, 2\) has no auxiliary"),
+    (_one_product_row, lambda r: {"slack_groups": _moved_slack(r, 3)}, "index 3 is used twice"),
+], ids=["no-slack-groups", "slack-past-qubo", "auxiliary-past-qubo",
+        "pair-without-auxiliary", "index-used-twice"])
+def test_verify_rejects_malformed_bookkeeping(make, fields, message):
+    """A hand-built Reformulation whose slack groups or auxiliaries do not
+    fit its program and QUBO is refused before the scan reads them."""
+    reform = make()
+    assert verify(reform).passed
+    with pytest.raises(ReformulationError, match=message):
+        verify(dataclasses.replace(reform, **fields(reform)))
 
 
 @given(solvable_programs(), st.data())

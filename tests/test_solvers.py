@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from unittest import mock
@@ -259,6 +260,38 @@ def test_brute_force_chunking_invariant(chunk_bits, monkeypatch):
     assert (1, 0, 0, 0, 0, 1, 1) in [r.assignment for r in one_chunk[2]]
     monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
     assert scans() == one_chunk
+
+
+def count_row_evaluators(monkeypatch) -> list:
+    """Patch ``_row_evaluator`` where the oracle and verify call it; the
+    returned list gains one entry per call."""
+    made = []
+    make = solvers._row_evaluator
+
+    def counting(form, n):
+        made.append(form)
+        return make(form, n)
+
+    for module in (solvers, importlib.import_module("flowqubo.reformulate")):
+        monkeypatch.setattr(module, "_row_evaluator", counting)
+    return made
+
+
+def test_brute_force_makes_one_row_evaluator_per_row(il_program, monkeypatch):
+    """The row evaluators, and their low-bit tables, belong to one scan call."""
+    assert il_program.num_vars > solvers._CHUNK_BITS
+    made = count_row_evaluators(monkeypatch)
+    brute_force(il_program)
+    assert len(made) == len(il_program.constraints)
+    brute_force(il_program)
+    assert len(made) == 2 * len(il_program.constraints)
+
+
+@pytest.mark.parametrize("mode", ["optimal", "enumerate_all", "pool"])
+def test_branch_and_bound_makes_no_row_evaluator(mode, ds_program, monkeypatch):
+    made = count_row_evaluators(monkeypatch)
+    assert branch_and_bound(ds_program, mode, pool_size=3).records
+    assert made == []
 
 
 def _per_code_qubo_reference(qubo, limit=None):
