@@ -56,7 +56,6 @@ from .qubo import (
 from .reformulate import (
     DecodedSample,
     Reformulation,
-    SlackGroup,
     VerificationReport,
     default_penalty,
     reformulate,
@@ -96,7 +95,6 @@ __all__ = [
     "normalize_constraint",
     "Reformulation",
     "DecodedSample",
-    "SlackGroup",
     "VerificationReport",
     "default_penalty",
     "rosenberg_penalty",

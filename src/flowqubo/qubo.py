@@ -133,15 +133,10 @@ class QuboModel:
         ``E(x) = h . x + 0.5 * x^T W x + offset`` with ``W`` zero-diagonal;
         this is the natural shape for single-flip samplers.
         """
-        h = np.zeros(self.num_vars)
-        w = np.zeros((self.num_vars, self.num_vars))
-        for (i, j), v in self.terms.items():
-            if i == j:
-                h[i] += v
-            else:
-                w[i, j] += v
-                w[j, i] += v
-        return h, w
+        upper = self.dense()
+        w = upper + upper.T
+        np.fill_diagonal(w, 0.0)
+        return np.diag(upper).copy(), w
 
     # -- serialization ------------------------------------------------------
 

@@ -45,7 +45,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "SlackGroup",
     "DecodedSample",
     "Reformulation",
     "VerificationReport",
@@ -87,22 +86,6 @@ def rosenberg_penalty(xi: int, xj: int, w: int) -> int:
 
 
 @dataclass(frozen=True)
-class SlackGroup:
-    """Slack bits attached to one constraint (empty for equalities).
-
-    ``sign`` is +1 when the slack is added to the left-hand side (<=),
-    -1 when subtracted (>=), and 0 when the row carries no slack.
-    """
-
-    constraint_index: int
-    label: str
-    sense: str
-    indices: tuple[int, ...]
-    weights: tuple[int, ...]
-    sign: int
-
-
-@dataclass(frozen=True)
 class DecodedSample:
     assignment: tuple[int, ...]
     feasible: bool
@@ -127,12 +110,17 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Reformulation:
-    """A QUBO together with the bookkeeping needed to map answers back."""
+    """A QUBO together with the bookkeeping needed to map answers back.
+
+    ``slack_groups[c]`` holds the QUBO indices of source constraint ``c``'s
+    slack bits, empty for an equality: bit ``k`` weighs ``2^k``, added on a
+    ``<=`` row and subtracted on a ``>=`` row.
+    """
 
     source: BinaryProgram
     qubo: QuboModel
     aux_products: Mapping[tuple[int, int], int]
-    slack_groups: tuple[SlackGroup, ...]
+    slack_groups: tuple[tuple[int, ...], ...]
     rho: float
     constraint_rho: Mapping[str, float] | None = None
 
@@ -187,29 +175,32 @@ class Reformulation:
         )
 
     def sidecar_json_dict(self) -> dict:
-        """Mapping data an external consumer needs to interpret the QUBO."""
-        names = self.qubo.var_names
+        """Mapping data an external consumer needs to interpret the QUBO,
+        derived from the source variable names and the normalized rows."""
+        names = self.source.var_names
+        sign = {"<=": 1, ">=": -1, "=": 0}
         return {
             "num_source_vars": self.source.num_vars,
             "num_qubo_vars": self.qubo.num_vars,
             "rho": self.rho,
             "constraint_rho": dict(self.constraint_rho) if self.constraint_rho else None,
             "offset": self.qubo.offset,
-            "var_map": {name: idx for idx, name in enumerate(self.source.var_names)},
+            "var_map": {name: idx for idx, name in enumerate(names)},
             "aux_products": [
                 [names[i], names[j], idx]
                 for (i, j), idx in sorted(self.aux_products.items())
             ],
             "slack_groups": [
                 {
-                    "constraint_index": g.constraint_index,
-                    "label": g.label,
-                    "sense": g.sense,
-                    "indices": list(g.indices),
-                    "weights": list(g.weights),
-                    "sign": g.sign,
+                    "constraint_index": ci,
+                    "label": con.label,
+                    "sense": con.sense,
+                    "indices": list(indices),
+                    "weights": [1 << k for k in range(len(indices))],
+                    "sign": sign[con.sense],
                 }
-                for g in self.slack_groups
+                for ci, (con, indices) in enumerate(
+                    zip(self.normalized, self.slack_groups, strict=True))
             ],
         }
 
@@ -218,13 +209,13 @@ def _near_integer(value: float) -> bool:
     return abs(value - round(value)) <= _INT_TOL
 
 
-def _slack_range(con: Constraint, label: str) -> int:
+def _slack_range(con: Constraint) -> int:
     """Integer slack range of an inequality row; raises when ill-posed."""
     coeffs = list(con.linear.values()) + [q for _, _, q in con.products]
     for value in coeffs + [con.rhs]:
         if not _near_integer(value):
             raise ReformulationError(
-                f"constraint {label!r}: inequality coefficients and right-hand "
+                f"constraint {con.label!r}: inequality coefficients and right-hand "
                 f"side must be integers for exact slack encoding, got {value}")
     rhs = round(con.rhs)
     if con.sense == "<=":
@@ -233,7 +224,7 @@ def _slack_range(con: Constraint, label: str) -> int:
         span = sum(max(0, round(c)) for c in coeffs) - rhs
     if span < 0:
         raise ReformulationError(
-            f"constraint {label!r} can never hold over binary assignments "
+            f"constraint {con.label!r} can never hold over binary assignments "
             f"(slack range {span})")
     return span
 
@@ -261,7 +252,7 @@ def reformulate(
     constraint labels to per-constraint weights overriding the global one
     (the product gadgets always use the global weight).  Variable order:
     source variables first, then one auxiliary per distinct product pair,
-    then slack bits grouped by constraint.
+    then slack bits grouped by constraint (``slack_groups``).
     """
     if rho is None:
         rho = default_penalty(program)
@@ -284,34 +275,14 @@ def reformulate(
     con_pairs = [_merged_pairs(con, index) for con in normalized]
 
     all_pairs = sorted({key for pairs in con_pairs for key in pairs})
-    names = list(program.var_names)
-    aux_products: dict[tuple[int, int], int] = {}
-    for i, j in all_pairs:
-        aux_products[(i, j)] = len(names)
-        names.append(f"aux[{program.var_names[i]}*{program.var_names[j]}]")
-
-    slack_groups: list[SlackGroup] = []
-    for ci, con in enumerate(normalized):
-        if con.sense == "=":
-            slack_groups.append(SlackGroup(ci, con.label, con.sense, (), (), 0))
-            continue
-        span = _slack_range(con, con.label)
-        bits = span.bit_length()
-        indices = []
-        for k in range(bits):
-            indices.append(len(names))
-            names.append(f"slack[{ci}.{k}]")
-        sign = 1 if con.sense == "<=" else -1
-        weights = tuple(1 << k for k in range(bits))
-        slack_groups.append(SlackGroup(ci, con.label, con.sense,
-                                       tuple(indices), weights, sign))
+    aux_products = {pair: n + k for k, pair in enumerate(all_pairs)}
+    var = program.var_names
+    names = [*var, *(f"aux[{var[i]}*{var[j]}]" for i, j in all_pairs)]
 
     terms: dict[tuple[int, int], float] = {}
     offset = program.objective_constant
 
     def add(i: int, j: int, value: float) -> None:
-        if value == 0.0:
-            return
         key = (i, j) if i <= j else (j, i)
         terms[key] = terms.get(key, 0.0) + value
 
@@ -320,17 +291,17 @@ def reformulate(
     for u, v, q in program.objective_products:
         add(index[u], index[v], q)
 
+    slack_groups: list[tuple[int, ...]] = []
     for ci, con in enumerate(normalized):
         weight = constraint_rho.get(con.label, rho) if constraint_rho else rho
-        entries: list[tuple[int, float]] = []
-        for name, coeff in con.linear.items():
-            if coeff != 0.0:
-                entries.append((index[name], coeff))
-        for key, q in con_pairs[ci].items():
-            entries.append((aux_products[key], q))
-        group = slack_groups[ci]
-        for idx, w in zip(group.indices, group.weights):
-            entries.append((idx, group.sign * float(w)))
+        entries = [(index[name], coeff) for name, coeff in con.linear.items() if coeff != 0.0]
+        entries += [(aux_products[key], q) for key, q in con_pairs[ci].items()]
+        bits = 0 if con.sense == "=" else _slack_range(con).bit_length()
+        slack = tuple(range(len(names), len(names) + bits))
+        names += [f"slack[{ci}.{k}]" for k in range(bits)]
+        slack_groups.append(slack)
+        sign = 1.0 if con.sense == "<=" else -1.0
+        entries += [(idx, sign * float(1 << k)) for k, idx in enumerate(slack)]
         rhs = con.rhs
         offset += weight * rhs * rhs
         for pos, (i, a) in enumerate(entries):
@@ -361,18 +332,22 @@ def reformulate(
 def _check_layout(reform: Reformulation,
                   con_pairs: Sequence[Mapping[tuple[int, int], float]]) -> None:
     """Raise :class:`~flowqubo.errors.ReformulationError` unless ``reform``
-    has one slack group per source constraint, an auxiliary for every pair
-    in ``con_pairs`` (the merged product pairs of the normalized rows), and
-    every slack and auxiliary index in ``[source.num_vars, qubo.num_vars)``,
-    each used once."""
+    has a QUBO at least as wide as its source program, one slack group per
+    source constraint, an auxiliary for every pair in ``con_pairs`` (the
+    merged product pairs of the normalized rows), and every slack and
+    auxiliary index in ``[source.num_vars, qubo.num_vars)``, each used
+    once."""
     n, size = reform.source.num_vars, reform.qubo.num_vars
+    if size < n:
+        raise ReformulationError(
+            f"the QUBO has {size} variables, fewer than the {n} source variables")
     if len(reform.slack_groups) != len(con_pairs):
         raise ReformulationError(
             f"{len(reform.slack_groups)} slack groups for {len(con_pairs)} constraints")
     missing = sorted({key for pairs in con_pairs for key in pairs} - set(reform.aux_products))
     if missing:
         raise ReformulationError(f"product pair {missing[0]} has no auxiliary variable")
-    used = [*reform.aux_products.values(), *(i for g in reform.slack_groups for i in g.indices)]
+    used = [*reform.aux_products.values(), *itertools.chain(*reform.slack_groups)]
     for idx in used:
         if not n <= idx < size:
             raise ReformulationError(
@@ -414,15 +389,14 @@ class _ScanTables:
 
         self.rows = []
         for ci, (lhs, sense, rhs) in zip(self.tables.order, self.tables.rows):
-            con = normalized[ci]
-            group = reform.slack_groups[ci]
+            slack = reform.slack_groups[ci]
             pairs = [(pair_pos[key], q) for key, q in con_pairs[ci].items()]
             self.rows.append({
                 "rhs": rhs,
                 "sense": sense,
-                "weight": reform.constraint_weight(con.label),
-                "max_slack": float((1 << len(group.indices)) - 1),
-                "slack_indices": group.indices,
+                "weight": reform.constraint_weight(normalized[ci].label),
+                "max_slack": float((1 << len(slack)) - 1),
+                "slack_indices": slack,
                 "pair_pos": pairs,
                 # lhs - rhs of a product row's linear part
                 "linear": lhs._replace(const=-float(rhs), products=()) if pairs else None,
@@ -614,8 +588,9 @@ def verify(reform: Reformulation) -> VerificationReport:
     completion energy does not exceed the feasible optimum.  ``passed`` also
     requires a feasible assignment: without one there is no feasible
     optimum for the QUBO minimum to sit on.  More than ``_VAR_LIMIT`` source
-    variables, or more than ``_GROUP_LIMIT`` product pairs in one auxiliary
-    component, raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
+    variables, checked before anything is compiled, or more than
+    ``_GROUP_LIMIT`` product pairs in one auxiliary component, raise
+    :class:`~flowqubo.errors.ExhaustiveLimitError`.
 
     The scan makes two survivor-filtered passes over the integer codes of
     the source assignments.  The first keeps the feasible codes, row by row
@@ -635,11 +610,11 @@ def verify(reform: Reformulation) -> VerificationReport:
     included, is summed term by term.  Every code is still evaluated, so the
     reports are those of an unsplit scan.
     """
-    scan = _ScanTables(reform)
-    n = scan.n
+    n = reform.source.num_vars
     if n > _VAR_LIMIT:
         raise ExhaustiveLimitError(
             f"{n} source variables exceed the exhaustive bound of {_VAR_LIMIT}")
+    scan = _ScanTables(reform)
     for members, _ in scan.components:
         if len(members) > _GROUP_LIMIT:
             raise ExhaustiveLimitError(

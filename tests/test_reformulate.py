@@ -16,7 +16,6 @@ from flowqubo import (
     QuboModel,
     Reformulation,
     ReformulationError,
-    SlackGroup,
     VerificationReport,
     brute_force,
     default_penalty,
@@ -71,10 +70,9 @@ def test_inequality_slack_layout():
     reform = reformulate(prog)
     assert reform.rho == 8.0
     assert reform.qubo.var_names == ("y1", "y2", "y3", "slack[0.0]", "slack[0.1]")
-    group, = reform.slack_groups
-    assert group.sense == ">="
-    assert group.weights == (1, 2)
-    assert group.sign == -1
+    assert reform.slack_groups == ((3, 4),)
+    group, = reform.sidecar_json_dict()["slack_groups"]
+    assert (group["sense"], group["weights"], group["sign"]) == (">=", [1, 2], -1)
     # every feasible source point has a slack level with zero penalty
     obj = {"y1": 1.0, "y2": 2.0, "y3": 4.0}
     for bits in itertools.product((0, 1), repeat=3):
@@ -94,9 +92,9 @@ def test_le_constraint_span_counts_negative_coefficients():
                     [Constraint({"a": 1.0, "b": -2.0}, "<=", 1.0)],
                     names=("a", "b"))
     reform = reformulate(prog)
-    group, = reform.slack_groups
-    assert group.weights == (1, 2)
-    assert group.sign == 1
+    assert reform.slack_groups == ((2, 3),)
+    group, = reform.sidecar_json_dict()["slack_groups"]
+    assert (group["weights"], group["sign"]) == ([1, 2], 1)
 
 
 def test_unsatisfiable_span_rejected():
@@ -312,7 +310,7 @@ def _reference_verify(reform, tol=1e-9, max_failures=20):
     for ci, con in enumerate(reform.normalized):
         for name, coeff in con.linear.items():
             A[ci, index[name]] += coeff
-        group = reform.slack_groups[ci]
+        slack = reform.slack_groups[ci]
         pair_coeffs = {}
         for u, v, q in con.products:
             key = (min(index[u], index[v]), max(index[u], index[v]))
@@ -320,8 +318,8 @@ def _reference_verify(reform, tol=1e-9, max_failures=20):
         rows.append({
             "rhs": con.rhs, "sense": con.sense,
             "weight": reform.constraint_weight(con.label),
-            "max_slack": (1 << len(group.indices)) - 1,
-            "slack_indices": group.indices,
+            "max_slack": (1 << len(slack)) - 1,
+            "slack_indices": slack,
             "pair_pos": [(pair_pos[key], q) for key, q in pair_coeffs.items() if q != 0.0],
         })
     parent = list(range(len(pairs)))
@@ -477,10 +475,8 @@ def _short_slack(reform):
     The reformulation is then wrong: a feasible point whose row needs the
     missing slack keeps a penalty, which ``verify`` must report.
     """
-    groups = tuple(
-        dataclasses.replace(g, indices=g.indices[:-1], weights=g.weights[:-1])
-        for g in reform.slack_groups)
-    dropped = {g.indices[-1] for g in reform.slack_groups if g.indices}
+    groups = tuple(g[:-1] for g in reform.slack_groups)
+    dropped = {g[-1] for g in reform.slack_groups if g}
     terms = {key: q for key, q in reform.qubo.terms.items() if not dropped & set(key)}
     return _with_terms(dataclasses.replace(reform, slack_groups=groups), terms)
 
@@ -567,7 +563,7 @@ def test_verify_rejects_a_qubo_without_the_penalty():
                     [Constraint({"a": 1.0, "b": 1.0}, "=", 1.0, label="one")])
     bare = Reformulation(
         source=prog, qubo=QuboModel.from_terms(2, {(0, 0): 1.0, (1, 1): 1.0}),
-        aux_products={}, slack_groups=(SlackGroup(0, "one", "=", (), (), 0),),
+        aux_products={}, slack_groups=((),),
         rho=3.0)
     assert brute_force(bare.qubo).best().energy == 0.0
     with pytest.raises(ReformulationError, match=r"term \(0, 0\)"):
@@ -602,28 +598,57 @@ def _one_product_row():
                                 names=("a", "b", "c")))
 
 
-def _moved_slack(reform, index):
-    return (dataclasses.replace(reform.slack_groups[0], indices=(index,)),)
+def _one_equality_row():
+    # a + b + c = 1: three variables, no slack and no auxiliary
+    return reformulate(_program({"a": 1.0}, [Constraint({"a": 1.0, "b": 1.0, "c": 1.0},
+                                                         "=", 1.0)]))
 
 
 @pytest.mark.parametrize("make, fields, message", [
-    (_one_slack_row, lambda r: {"slack_groups": ()}, "0 slack groups for 1 constraints"),
-    (_one_slack_row, lambda r: {"slack_groups": _moved_slack(r, 7)},
+    (_one_slack_row, {"slack_groups": ()}, "0 slack groups for 1 constraints"),
+    (_one_slack_row, {"slack_groups": ((7,),)},
      r"auxiliary or slack index 7 lies outside \[2, 3\)"),
-    (_one_slack_row, lambda r: {"aux_products": {(0, 1): 9}},
+    (_one_slack_row, {"aux_products": {(0, 1): 9}},
      r"auxiliary or slack index 9 lies outside \[2, 3\)"),
-    (_one_product_row, lambda r: {"aux_products": {}},
-     r"product pair \(1, 2\) has no auxiliary"),
-    (_one_product_row, lambda r: {"slack_groups": _moved_slack(r, 3)}, "index 3 is used twice"),
+    (_one_product_row, {"aux_products": {}}, r"product pair \(1, 2\) has no auxiliary"),
+    (_one_product_row, {"slack_groups": ((3,),)}, "index 3 is used twice"),
+    (_one_equality_row, {"qubo": QuboModel.from_terms(2, {(0, 0): 1.0})},
+     "the QUBO has 2 variables, fewer than the 3 source variables"),
 ], ids=["no-slack-groups", "slack-past-qubo", "auxiliary-past-qubo",
-        "pair-without-auxiliary", "index-used-twice"])
+        "pair-without-auxiliary", "index-used-twice", "qubo-narrower-than-source"])
 def test_verify_rejects_malformed_bookkeeping(make, fields, message):
-    """A hand-built Reformulation whose slack groups or auxiliaries do not
-    fit its program and QUBO is refused before the scan reads them."""
+    """A hand-built Reformulation whose slack groups, auxiliaries or QUBO
+    do not fit its program is refused before the scan reads them."""
     reform = make()
     assert verify(reform).passed
     with pytest.raises(ReformulationError, match=message):
-        verify(dataclasses.replace(reform, **fields(reform)))
+        verify(dataclasses.replace(reform, **fields))
+
+
+def test_sidecar_of_an_unnamed_qubo():
+    """The sidecar names auxiliary pairs by the source variables, so a QUBO
+    without var_names publishes the same mapping."""
+    reform = _one_product_row()
+    qubo = reform.qubo
+    unnamed = dataclasses.replace(reform, qubo=QuboModel.from_terms(
+        qubo.num_vars, qubo.terms, qubo.offset, var_names=None))
+    assert verify(unnamed).passed
+    side = unnamed.sidecar_json_dict()
+    assert side == reform.sidecar_json_dict()
+    assert side["aux_products"] == [["b", "c", 3]]
+    assert side["slack_groups"] == [{"constraint_index": 0, "label": "", "sense": "<=",
+                                     "indices": [4], "weights": [1], "sign": 1}]
+
+
+def test_verify_checks_the_variable_limit_first(monkeypatch):
+    """A program past the exhaustive bound is refused before any row is
+    compiled."""
+    names = tuple(f"x{i}" for i in range(solvers._VAR_LIMIT + 1))
+    prog = _program({}, [Constraint({name: 1.0 for name in names}, "<=", 1.0)], names=names)
+    made = count_row_evaluators(monkeypatch)
+    with pytest.raises(ExhaustiveLimitError, match="exceed the exhaustive bound"):
+        verify(reformulate(prog))
+    assert made == []
 
 
 @given(solvable_programs(), st.data())
