@@ -15,7 +15,8 @@ The scan runs on the oracle's survivor-filtered code kernel and on the rows
 the oracle compiles: a first pass completes only the feasible assignments,
 and a second drops every assignment whose objective plus product-free row
 penalties, a lower bound on its completion energy, already exceeds what a
-dominance failure or the QUBO minimum can reach.
+dominance failure or the QUBO minimum can reach.  Both passes skip the
+chunks of codes whose row spans already rule out every code in them.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from .errors import (
     ExhaustiveLimitError,
     ReformulationError,
 )
-from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint
+from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint, row_holds
 from .qubo import QuboModel
 from .solvers import (
     _VAR_LIMIT,
     SampleRecord,
     SampleSet,
     _bit_rows,
+    _chunk_count,
     _code_chunks,
     _feasible_codes,
     _program_tables,
@@ -369,7 +371,9 @@ class _ScanTables:
     (``tables.rows[k]``); a product row also keeps its linear part, since
     auxiliaries stand in for its products.  ``checks[k]`` is that row's
     ``(evaluate, sense, rhs)`` from :func:`~flowqubo.solvers._row_evaluator`,
-    made once here, so each row has one low-bit table per call.
+    made once here, so each row has one low-bit table per call, and
+    ``spans[k]`` the ``(lo, hi)`` of that row's values by chunk from the same
+    split, or None for a row that is not split.
     """
 
     def __init__(self, reform: Reformulation):
@@ -380,8 +384,10 @@ class _ScanTables:
         con_pairs = [_merged_pairs(con, index) for con in normalized]
         _check_layout(reform, con_pairs)
         self.tables = _program_tables(replace(program, constraints=normalized))
-        self.checks = [(_row_evaluator(lhs, self.n), sense, rhs)
-                       for lhs, sense, rhs in self.tables.rows]
+        evaluators = [_row_evaluator(lhs, self.n) for lhs, _, _ in self.tables.rows]
+        self.checks = [(evaluate, sense, rhs) for (evaluate, _), (_, sense, rhs)
+                       in zip(evaluators, self.tables.rows)]
+        self.spans = [None if span is None else span() for _, span in evaluators]
         self.floor = self.tables.objective.floor()
 
         self.pairs = sorted(reform.aux_products)          # [(i, j)]
@@ -424,6 +430,43 @@ class _ScanTables:
         if row["linear"] is not None:
             return row["linear"].values(codes)
         return self.checks[k][0](codes) - row["rhs"]
+
+    def feasible_chunks(self) -> np.ndarray:
+        """One bool per chunk of :func:`~flowqubo.solvers._code_chunks`:
+        False when some row fails its own test at the point of its span
+        nearest ``rhs``.  Rounding is monotone, so every code of such a chunk
+        fails that row."""
+        keep = np.ones(_chunk_count(self.n), dtype=bool)
+        for (_, sense, rhs), span in zip(self.checks, self.spans):
+            if span is not None:
+                keep &= row_holds(sense, np.clip(rhs, *span), rhs)
+        return keep
+
+    def chunks_within(self, bound: float) -> np.ndarray:
+        """One bool per chunk: False when every code of the chunk would be
+        dropped by :func:`_completion_energies` at ``bound``.
+
+        A product-free row's penalty is 0 at the integer residuals of its
+        zero-penalty range (``[-max_slack, 0]`` for ``<=``, ``[0, max_slack]``
+        for ``>=``, ``0`` for ``=``) and grows with the distance outside it.
+        So the penalty at the residual of the row's span nearest that range,
+        or 0 where they meet, is at most each code's own.  These are summed
+        in checking order and tested against ``bound`` after each row, plus
+        ``floor``, as :func:`_completion_energies` sums and tests, so a
+        chunk fails only where each of its codes fails, rounding included.
+        """
+        keep = np.ones(_chunk_count(self.n), dtype=bool)
+        total = np.zeros(keep.shape)
+        for k in self.simple_rows:
+            if self.spans[k] is not None:
+                row = self.rows[k]
+                lo, hi = (side - row["rhs"] for side in self.spans[k])
+                low_end = -row["max_slack"] if row["sense"] == "<=" else 0.0
+                high_end = row["max_slack"] if row["sense"] == ">=" else 0.0
+                nearest = np.where(lo > high_end, lo, np.minimum(hi, low_end))
+                total = total + _row_penalty(row, nearest)
+            keep &= total + self.floor <= bound
+        return keep
 
 
 def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
@@ -551,6 +594,8 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     as that lower bound exceeds ``bound``, and once every code is dropped
     nothing more is evaluated.  ``codes`` lie in one aligned chunk of
     ``2^_CHUNK_BITS``, as the row evaluators (``scan.checks``) require.
+    :meth:`_ScanTables.chunks_within` makes the same test for a whole chunk
+    at once, so :func:`verify` passes only the chunks that can keep a code.
     Returns the kept codes, their objectives and their energies.
     """
     energy = np.zeros(codes.shape)
@@ -607,8 +652,16 @@ def verify(reform: Reformulation) -> VerificationReport:
     second taking a product-free row's residual as that evaluator's value
     minus ``rhs``, so each row has one low-bit table per call, split at bit
     ``_CHUNK_BITS`` as in the oracle scan; any other form, the objective
-    included, is summed term by term.  Every code is still evaluated, so the
-    reports are those of an unsplit scan.
+    included, is summed term by term.
+
+    Each pass first tests whole chunks against the span of each split row
+    over the chunk, taken from the same split, and builds codes only for the
+    chunks it keeps: the first skips a chunk where some row's span holds no
+    value the row accepts (:meth:`_ScanTables.feasible_chunks`), the second
+    one where a lower bound on every code's penalties already exceeds ``T``
+    (:meth:`_ScanTables.chunks_within`).  A skipped chunk holds no code the
+    pass would have kept, so the reports are those of an exhaustive scan;
+    the oracle itself skips no chunk.
     """
     n = reform.source.num_vars
     if n > _VAR_LIMIT:
@@ -627,7 +680,7 @@ def verify(reform: Reformulation) -> VerificationReport:
     feasible_opt = np.inf
     feasible_min_energy = np.inf
     exactness = []
-    for codes in _code_chunks(n):
+    for codes in _code_chunks(n, scan.feasible_chunks()):
         codes = _feasible_codes(scan.checks, codes)
         if not codes.size:
             continue
@@ -643,8 +696,9 @@ def verify(reform: Reformulation) -> VerificationReport:
     best_energy = np.inf
     best_k = 0
     dominance: list[tuple[float, int]] = []
-    for codes in _code_chunks(n):
-        codes, _, energy = _completion_energies(scan, codes, threshold + energy_tol)
+    bound = threshold + energy_tol
+    for codes in _code_chunks(n, scan.chunks_within(bound)):
+        codes, _, energy = _completion_energies(scan, codes, bound)
         if not codes.size:
             continue
         chunk_best = int(np.argmin(energy))

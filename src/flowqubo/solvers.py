@@ -15,7 +15,8 @@ and :mod:`ip`:
   row when a scan call starts.  Only the evaluation is split
   (meet-in-the-middle style, after Horowitz & Sahni, J. ACM 21(2):277,
   1974): every code still gets every row value until a row rejects it, and
-  no chunk is skipped on a bound.  Rows with other coefficients, and scans
+  the oracle skips no chunk on a bound; ``verify`` skips the chunks whose
+  row spans rule out every code.  Rows with other coefficients, and scans
   of one chunk, evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
@@ -288,18 +289,24 @@ def import_samples(path, qubo: QuboModel | None = None, tol: float = 1e-6) -> Sa
 # -- shared enumeration kernel ------------------------------------------------
 
 
-def _code_chunks(n: int):
+def _chunk_count(n: int) -> int:
+    """How many chunks :func:`_code_chunks` splits ``2^n`` codes into."""
+    return 1 << max(n - _CHUNK_BITS, 0)
+
+
+def _code_chunks(n: int, keep: np.ndarray | None = None):
     """Yield the codes ``0 .. 2^n - 1`` in ascending int64 chunks of
-    ``2^_CHUNK_BITS``.
+    ``2^_CHUNK_BITS``; with ``keep``, one bool per chunk, only the chunks
+    it marks.
 
     Code ``k`` stands for the assignment whose variable ``j`` is the bit
     ``(k >> (n-1-j)) & 1``.  Variable 0 is the most significant bit, so code
     order equals lexicographic order of the bit tuples.
     """
-    total = 1 << n
     step = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.int64)
+    for chunk in range(_chunk_count(n)):
+        if keep is None or keep[chunk]:
+            yield np.arange(chunk * step, (chunk + 1) * step, dtype=np.int64)
 
 
 def _bit_rows(codes, n: int) -> np.ndarray:
@@ -354,8 +361,11 @@ class LinearForm(NamedTuple):
         return total
 
 
-def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``form.values`` for one scan call over codes of ``n`` variables.
+def _row_evaluator(form: LinearForm, n: int) -> tuple[
+        Callable[[np.ndarray], np.ndarray],
+        Callable[[], tuple[np.ndarray, np.ndarray]] | None]:
+    """``form.values`` for one scan call over codes of ``n`` variables, and
+    the span of those values over each chunk.
 
     The evaluator takes non-empty codes that lie in one aligned chunk of
     ``2^_CHUNK_BITS`` (a chunk of :func:`_code_chunks` or a subset of one).
@@ -369,12 +379,18 @@ def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarra
     order.  A product with one bit on each side is still summed term by
     term; any other form, and any scan of one chunk, keeps
     :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is read at each call.
+
+    Returns ``(evaluate, span)``.  For a split form ``span()`` gives two
+    arrays, indexed by chunk, that bound every value of the chunk's codes:
+    the chunk's high part plus the least and the greatest entry of the
+    low-bit table plus the negative, respectively positive, cross products.
+    These are exact integers too.  Any other form has ``span`` None.
     """
     cut = _CHUNK_BITS
     coeffs = [form.const] + [c for *_, c in form.terms + form.products]
     if n <= cut or not all(float(c).is_integer() for c in coeffs) \
             or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
-        return form.values
+        return form.values, None
     high = LinearForm(form.const, tuple(t for t in form.terms if t[0] >= cut),
                       tuple(p for p in form.products if p[0] >= cut and p[1] >= cut))
     low = LinearForm(0.0, tuple(t for t in form.terms if t[0] < cut),
@@ -390,7 +406,12 @@ def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarra
             out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
         return out
 
-    return values
+    def span() -> tuple[np.ndarray, np.ndarray]:
+        starts = high.values(np.arange(0, 1 << n, 1 << cut, dtype=np.int64))
+        return (starts + (low.min() + sum(min(0.0, c) for *_, c in cross)),
+                starts + (low.max() + sum(max(0.0, c) for *_, c in cross)))
+
+    return values, span
 
 
 def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
@@ -433,8 +454,8 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     it, and drops the ones it rejects.  An integral row's evaluator reads
     its low bits from a table built for the call (:func:`_row_evaluator`);
     that changes how a value is summed, not which codes get one.  Every
-    code is still tested until a row rejects it, and no chunk is skipped on
-    a bound, so the scan stays exhaustive.
+    code is still tested until a row rejects it, so the scan stays
+    exhaustive over the codes it is given.
     """
     for evaluate, sense, rhs in checks:
         if not codes.size:
@@ -510,7 +531,7 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
     n = program.num_vars
     t0 = time.perf_counter()
     tables = _program_tables(program)
-    checks = [(_row_evaluator(lhs, n), sense, rhs) for lhs, sense, rhs in tables.rows]
+    checks = [(_row_evaluator(lhs, n)[0], sense, rhs) for lhs, sense, rhs in tables.rows]
     proj_names = program.projection or program.var_names
     proj_idx = [program.index(name) for name in proj_names]
     pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}

@@ -1,10 +1,11 @@
 import dataclasses
+import importlib
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_solvers import count_row_evaluators, solvable_programs
 
@@ -24,6 +25,7 @@ from flowqubo import (
     verify,
 )
 from flowqubo import solvers
+from flowqubo.reformulate import _completion_energies, _ScanTables
 
 
 def _program(objective, constraints, names=None, products=()):
@@ -538,6 +540,106 @@ def test_verify_makes_one_set_of_row_tables(il_reform, monkeypatch):
     assert len(made) == len(il_reform.normalized)
     assert verify(il_reform).passed
     assert len(made) == 2 * len(il_reform.normalized)
+
+
+@st.composite
+def chunked_programs(draw):
+    """Programs in the style of A3 for scans of many chunks: mixed senses,
+    equality rows whose right-hand side may be fractional, inequality rows
+    with slack or tight, product rows, and rows that no point may satisfy."""
+    n = draw(st.integers(min_value=4, max_value=6))
+    names = tuple(f"x{i}" for i in range(n))
+    coeff = st.integers(min_value=-4, max_value=4)
+    objective = {name: float(draw(coeff)) for name in names}
+    witness = draw(st.tuples(*([st.integers(0, 1)] * n)))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    cons = []
+    for ci in range(draw(st.integers(min_value=1, max_value=3))):
+        lin = {name: float(draw(coeff)) for name in names}
+        products = ()
+        if draw(st.booleans()):
+            u, v = draw(st.sampled_from(pairs))
+            products = ((names[u], names[v], float(draw(st.integers(-3, 3)) or 1)),)
+        coeffs = list(lin.values()) + [q for *_, q in products]
+        lhs = sum(c * x for c, x in zip(lin.values(), witness)) \
+            + sum(q * witness[names.index(u)] * witness[names.index(v)] for u, v, q in products)
+        sense = draw(st.sampled_from(("=", "<=", ">=")))
+        if sense == "=":
+            rhs = lhs + draw(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0)))
+        elif sense == "<=":
+            rhs = max(lhs + draw(st.integers(-1, 2)), sum(min(0.0, c) for c in coeffs))
+        else:
+            rhs = min(lhs - draw(st.integers(-1, 2)), sum(max(0.0, c) for c in coeffs))
+        cons.append(Constraint(lin, sense, float(rhs), products=products, label=f"c{ci}"))
+    return BinaryProgram(var_names=names, objective=objective, constraints=tuple(cons))
+
+
+# x0 * x5 and x3 * x4 have a bit on each side of the cut at 2, and each
+# row holds only where its product is 1; the second program has no
+# feasible point
+@example(BinaryProgram(
+    var_names=("x0", "x1", "x2", "x3", "x4", "x5"), objective={"x0": 2.0, "x3": -1.0},
+    constraints=(Constraint({"x1": 1.0}, ">=", 3.0, products=(("x0", "x5", 3.0),)),
+                 Constraint({"x2": 1.0}, "<=", -2.0, products=(("x3", "x4", -3.0),)))),
+         2, None)
+@example(BinaryProgram(
+    var_names=("x0", "x1", "x2", "x3"), objective={"x0": 1.0},
+    constraints=(Constraint({"x0": 1.0, "x3": 1.0}, "=", 0.5),)), 1, 0.5)
+@given(chunked_programs(), st.integers(1, 3), st.sampled_from((None, 0.5)))
+@settings(max_examples=100, deadline=None)
+def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
+    """Every chunk holding a feasible code passes the feasibility pass's
+    chunk test, and every chunk holding a code that survives
+    ``_completion_energies`` at a bound passes the threshold pass's chunk
+    test at that bound, for bounds at and just below the codes' energies."""
+    reform = reformulate(prog, rho=rho)
+    n = prog.num_vars
+    feasible = [k for k, bits in enumerate(itertools.product((0, 1), repeat=n))
+                if prog.is_feasible(bits)]
+    with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
+        scan = _ScanTables(reform)
+        keep = scan.feasible_chunks()
+        assert keep.shape == (1 << (n - chunk_bits),)
+        assert all(keep[k >> chunk_bits] for k in feasible)
+        chunks = list(solvers._code_chunks(n))
+        energies = np.sort(np.concatenate(
+            [_completion_energies(scan, codes)[2] for codes in chunks]))
+        for energy in energies[[0, len(energies) // 8, len(energies) // 4, len(energies) // 2]]:
+            for bound in (energy, np.nextafter(energy, -np.inf)):
+                within = scan.chunks_within(bound)
+                for chunk, codes in enumerate(chunks):
+                    if _completion_energies(scan, codes, bound)[0].size:
+                        assert within[chunk]
+
+
+def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
+    """On il each pass of verify reads at most 21 whole chunks of 2^14
+    codes; the row spans rule out the other 1003 of its 1024.  The
+    feasibility pass reads a chunk through ``_feasible_codes`` and the
+    threshold pass through ``_completion_energies`` with a finite bound;
+    the other calls of each get only a chunk's survivors."""
+    module = importlib.import_module("flowqubo.reformulate")
+    whole = 1 << solvers._CHUNK_BITS
+    assert il_reform.source.num_vars == 24
+    feasible_reads, threshold_reads = [], []
+    rows, energies = module._feasible_codes, module._completion_energies
+
+    def reading_rows(checks, codes):
+        if codes.size == whole:
+            feasible_reads.append(int(codes[0]) // whole)
+        return rows(checks, codes)
+
+    def reading_energies(scan, codes, bound=np.inf):
+        if bound < np.inf:
+            assert codes.size == whole
+            threshold_reads.append(int(codes[0]) // whole)
+        return energies(scan, codes, bound)
+
+    monkeypatch.setattr(module, "_feasible_codes", reading_rows)
+    monkeypatch.setattr(module, "_completion_energies", reading_energies)
+    assert verify(il_reform).passed
+    assert 0 < len(feasible_reads) <= 21
+    assert 0 < len(threshold_reads) <= 21
 
 
 def test_verify_fails_without_feasible_point():
