@@ -614,7 +614,7 @@ def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
 
 def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
     """On il each pass of verify reads at most 21 whole chunks of 2^14
-    codes; the row spans rule out the other 1003 of its 1024.  The
+    codes of its 1024; the row spans rule out the rest.  The
     feasibility pass reads a chunk through ``_feasible_codes`` and the
     threshold pass through ``_completion_energies`` with a finite bound;
     the other calls of each get only a chunk's survivors."""
