@@ -145,6 +145,8 @@ def _cmd_solve(args) -> int:
         samples = branch_and_bound(program, _BB_MODES[args.solver],
                                    pool_size=pool)
     elif args.solver == "sa":
+        if args.reads < 1 or args.sweeps < 1:
+            raise ModelError("--reads and --sweeps must be at least 1")
         seed = _effective_seed(args)
         reform = reformulate(program, rho=args.rho)
         rho = reform.rho
@@ -250,10 +252,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.case != "il":
-        print("error: the built-in sweep covers the il case only; other "
-              "continuous stages attach through flowqubo.flowsheets.run_blackbox",
-              file=sys.stderr)
-        return 2
+        raise ModelError("the built-in sweep covers the il case only; other continuous "
+                         "stages attach through flowqubo.flowsheets.run_blackbox")
     if args.budget is not None and args.budget < 1:
         raise ModelError("--budget must be at least 1")
     if args.starts < 1:

@@ -11,19 +11,20 @@ the feasible optima of the source program.
 certifies that model by exhaustive scan: it enumerates the source
 assignments and minimizes the energy over slack and auxiliary completions in
 closed form, so a QUBO beyond the usual exhaustive bound is still checkable.
-The scan runs on the oracle's survivor-filtered code kernel and on the rows
-the oracle compiles: a first pass completes only the feasible assignments,
-and a second drops every assignment whose objective plus product-free row
-penalties, a lower bound on its completion energy, already exceeds what a
-dominance failure or the QUBO minimum can reach.  Both passes skip the
-chunks of codes whose row spans already rule out every code in them.
+The scan runs on the oracle's survivor-filtered code kernel and reads one
+record per compiled row (:class:`_ScanRow`): a first pass completes only the
+feasible assignments, and a second drops every assignment whose objective
+plus product-free row penalties, a lower bound on its completion energy,
+already exceeds what a dominance failure or the QUBO minimum can reach.
+Both passes skip the chunks of codes whose row spans already rule out every
+code in them.  Every slack decision reads the sign map ``_SLACK_SIGN``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint, row_
 from .qubo import QuboModel
 from .solvers import (
     _VAR_LIMIT,
+    LinearForm,
     SampleRecord,
     SampleSet,
     _bit_rows,
@@ -64,6 +66,8 @@ _GROUP_LIMIT = 16
 # verify accepts a QUBO entry this close to its penalty model, relative to
 # the magnitudes summed into it: float sums of k terms stray by about k*2^-53
 _MODEL_RTOL = 1e-12
+# slack bit k adds sign * 2^k to a row's left-hand side; an equality has none
+_SLACK_SIGN = {"<=": 1, ">=": -1, "=": 0}
 
 
 def default_penalty(program: BinaryProgram) -> float:
@@ -116,7 +120,7 @@ class Reformulation:
 
     ``slack_groups[c]`` holds the QUBO indices of source constraint ``c``'s
     slack bits, empty for an equality: bit ``k`` weighs ``2^k``, added on a
-    ``<=`` row and subtracted on a ``>=`` row.
+    ``<=`` row and subtracted on a ``>=`` row (``_SLACK_SIGN``).
     """
 
     source: BinaryProgram
@@ -132,9 +136,7 @@ class Reformulation:
         return tuple(normalize_constraint(con) for con in self.source.constraints)
 
     def constraint_weight(self, label: str) -> float:
-        if self.constraint_rho and label in self.constraint_rho:
-            return self.constraint_rho[label]
-        return self.rho
+        return _constraint_weight(self.rho, self.constraint_rho, label)
 
     def decode(self, bits: Sequence[int]) -> DecodedSample:
         """Strip slack and auxiliary bits, re-check against the source model.
@@ -180,7 +182,6 @@ class Reformulation:
         """Mapping data an external consumer needs to interpret the QUBO,
         derived from the source variable names and the normalized rows."""
         names = self.source.var_names
-        sign = {"<=": 1, ">=": -1, "=": 0}
         return {
             "num_source_vars": self.source.num_vars,
             "num_qubo_vars": self.qubo.num_vars,
@@ -199,7 +200,7 @@ class Reformulation:
                     "sense": con.sense,
                     "indices": list(indices),
                     "weights": [1 << k for k in range(len(indices))],
-                    "sign": sign[con.sense],
+                    "sign": _SLACK_SIGN[con.sense],
                 }
                 for ci, (con, indices) in enumerate(
                     zip(self.normalized, self.slack_groups, strict=True))
@@ -207,23 +208,26 @@ class Reformulation:
         }
 
 
+def _constraint_weight(rho: float, overrides: Mapping[str, float] | None, label: str) -> float:
+    """The penalty weight of the row ``label``: its override, else ``rho``."""
+    return overrides.get(label, rho) if overrides else rho
+
+
 def _near_integer(value: float) -> bool:
     return abs(value - round(value)) <= _INT_TOL
 
 
 def _slack_range(con: Constraint) -> int:
-    """Integer slack range of an inequality row; raises when ill-posed."""
+    """Integer slack range of an inequality row, the largest ``sign * (rhs -
+    lhs)`` over binary assignments; raises when ill-posed."""
     coeffs = list(con.linear.values()) + [q for _, _, q in con.products]
     for value in coeffs + [con.rhs]:
         if not _near_integer(value):
             raise ReformulationError(
                 f"constraint {con.label!r}: inequality coefficients and right-hand "
                 f"side must be integers for exact slack encoding, got {value}")
-    rhs = round(con.rhs)
-    if con.sense == "<=":
-        span = rhs - sum(min(0, round(c)) for c in coeffs)
-    else:
-        span = sum(max(0, round(c)) for c in coeffs) - rhs
+    sign = _SLACK_SIGN[con.sense]
+    span = sign * round(con.rhs) - sum(min(0, sign * round(c)) for c in coeffs)
     if span < 0:
         raise ReformulationError(
             f"constraint {con.label!r} can never hold over binary assignments "
@@ -295,15 +299,15 @@ def reformulate(
 
     slack_groups: list[tuple[int, ...]] = []
     for ci, con in enumerate(normalized):
-        weight = constraint_rho.get(con.label, rho) if constraint_rho else rho
+        weight = _constraint_weight(rho, constraint_rho, con.label)
         entries = [(index[name], coeff) for name, coeff in con.linear.items() if coeff != 0.0]
         entries += [(aux_products[key], q) for key, q in con_pairs[ci].items()]
-        bits = 0 if con.sense == "=" else _slack_range(con).bit_length()
+        sign = _SLACK_SIGN[con.sense]
+        bits = _slack_range(con).bit_length() if sign else 0
         slack = tuple(range(len(names), len(names) + bits))
         names += [f"slack[{ci}.{k}]" for k in range(bits)]
         slack_groups.append(slack)
-        sign = 1.0 if con.sense == "<=" else -1.0
-        entries += [(idx, sign * float(1 << k)) for k, idx in enumerate(slack)]
+        entries += [(idx, float(sign << k)) for k, idx in enumerate(slack)]
         rhs = con.rhs
         offset += weight * rhs * rhs
         for pos, (i, a) in enumerate(entries):
@@ -358,6 +362,33 @@ def _check_layout(reform: Reformulation,
             raise ReformulationError(f"auxiliary or slack index {idx} is used twice")
 
 
+class _ScanRow(NamedTuple):
+    """What the scan in :func:`verify` reads of one compiled row; the first
+    three fields are what :func:`~flowqubo.solvers._feasible_codes` reads.
+    ``evaluate`` and ``span`` are :func:`~flowqubo.solvers._row_evaluator`'s
+    on ``form``.  A product-free row has no ``pairs``."""
+
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    sense: str
+    rhs: float
+    form: LinearForm                            # the compiled left-hand side
+    span: tuple[np.ndarray, np.ndarray] | None  # (lo, hi) by chunk; None unless split
+    weight: float
+    slack: tuple[int, ...]                      # QUBO indices of the slack bits
+    pairs: Mapping[tuple[int, int], float]      # merged coefficient by source pair (i, j)
+
+    @property
+    def max_slack(self) -> float:
+        return float((1 << len(self.slack)) - 1)
+
+    def residual(self, codes: np.ndarray) -> np.ndarray:
+        """lhs - rhs before slack and auxiliaries, on chunk codes: a product
+        row's linear part, since auxiliaries stand in for its products."""
+        if self.pairs:
+            return self.form._replace(const=-float(self.rhs), products=()).values(codes)
+        return self.evaluate(codes) - self.rhs
+
+
 class _ScanTables:
     """Precomputed structure for the decomposition scan in :func:`verify`.
 
@@ -367,13 +398,10 @@ class _ScanTables:
     closed form, and auxiliaries only couple through shared constraints, so
     they are minimized per connected component.
 
-    ``rows[k]`` is the penalty data of the oracle's compiled row ``k``
-    (``tables.rows[k]``); a product row also keeps its linear part, since
-    auxiliaries stand in for its products.  ``checks[k]`` is that row's
-    ``(evaluate, sense, rhs)`` from :func:`~flowqubo.solvers._row_evaluator`,
-    made once here, so each row has one low-bit table per call, and
-    ``spans[k]`` the ``(lo, hi)`` of that row's values by chunk from the same
-    split, or None for a row that is not split.
+    ``rows`` holds one :class:`_ScanRow` per row the oracle compiles, in its
+    checking order; each row's evaluator is made once here, so each row has
+    one low-bit table per call.  ``components`` lists each auxiliary
+    component as its sorted source pairs and the indices of its rows.
     """
 
     def __init__(self, reform: Reformulation):
@@ -383,53 +411,30 @@ class _ScanTables:
         index = {name: i for i, name in enumerate(program.var_names)}
         con_pairs = [_merged_pairs(con, index) for con in normalized]
         _check_layout(reform, con_pairs)
-        self.tables = _program_tables(replace(program, constraints=normalized))
-        evaluators = [_row_evaluator(lhs, self.n) for lhs, _, _ in self.tables.rows]
-        self.checks = [(evaluate, sense, rhs) for (evaluate, _), (_, sense, rhs)
-                       in zip(evaluators, self.tables.rows)]
-        self.spans = [None if span is None else span() for _, span in evaluators]
-        self.floor = self.tables.objective.floor()
-
-        self.pairs = sorted(reform.aux_products)          # [(i, j)]
-        pair_pos = {p: k for k, p in enumerate(self.pairs)}
-
+        tables = _program_tables(replace(program, constraints=normalized))
+        self.objective = tables.objective
+        self.floor = self.objective.floor()
+        self.rho = reform.rho
         self.rows = []
-        for ci, (lhs, sense, rhs) in zip(self.tables.order, self.tables.rows):
-            slack = reform.slack_groups[ci]
-            pairs = [(pair_pos[key], q) for key, q in con_pairs[ci].items()]
-            self.rows.append({
-                "rhs": rhs,
-                "sense": sense,
-                "weight": reform.constraint_weight(normalized[ci].label),
-                "max_slack": float((1 << len(slack)) - 1),
-                "slack_indices": slack,
-                "pair_pos": pairs,
-                # lhs - rhs of a product row's linear part
-                "linear": lhs._replace(const=-float(rhs), products=()) if pairs else None,
-            })
-        self.simple_rows = [k for k, row in enumerate(self.rows) if not row["pair_pos"]]
+        for ci, (form, sense, rhs) in zip(tables.order, tables.rows):
+            evaluate, span = _row_evaluator(form, self.n)
+            self.rows.append(_ScanRow(
+                evaluate, sense, rhs, form, None if span is None else span(),
+                reform.constraint_weight(normalized[ci].label),
+                reform.slack_groups[ci], con_pairs[ci]))
 
         # auxiliary components: pairs in one row are coupled, so each product
         # row merges the components of its pairs; row ids stay in checking
         # order, and the components are sorted by their lowest pair
-        components = [({p}, []) for p in range(len(self.pairs))]
+        components = [({pair}, []) for pair in reform.aux_products]
         for k, row in enumerate(self.rows):
-            positions = {p for p, _ in row["pair_pos"]}
-            if positions:
-                joined = [c for c in components if c[0] & positions]
-                components = [c for c in components if not c[0] & positions]
+            if row.pairs:
+                joined = [c for c in components if not c[0].isdisjoint(row.pairs)]
+                components = [c for c in components if c[0].isdisjoint(row.pairs)]
                 components.append((set().union(*(c[0] for c in joined)),
                                    sorted(j for c in joined for j in c[1]) + [k]))
         self.components = sorted((sorted(members), row_ids)
                                  for members, row_ids in components)
-        self.rho = reform.rho
-
-    def residual(self, k: int, codes: np.ndarray) -> np.ndarray:
-        """lhs - rhs of row ``k`` before slack and auxiliaries, on chunk codes."""
-        row = self.rows[k]
-        if row["linear"] is not None:
-            return row["linear"].values(codes)
-        return self.checks[k][0](codes) - row["rhs"]
 
     def feasible_chunks(self) -> np.ndarray:
         """One bool per chunk of :func:`~flowqubo.solvers._code_chunks`:
@@ -437,9 +442,9 @@ class _ScanTables:
         nearest ``rhs``.  Rounding is monotone, so every code of such a chunk
         fails that row."""
         keep = np.ones(_chunk_count(self.n), dtype=bool)
-        for (_, sense, rhs), span in zip(self.checks, self.spans):
-            if span is not None:
-                keep &= row_holds(sense, np.clip(rhs, *span), rhs)
+        for row in self.rows:
+            if row.span is not None:
+                keep &= row_holds(row.sense, np.clip(row.rhs, *row.span), row.rhs)
         return keep
 
     def chunks_within(self, bound: float) -> np.ndarray:
@@ -447,23 +452,21 @@ class _ScanTables:
         dropped by :func:`_completion_energies` at ``bound``.
 
         A product-free row's penalty is 0 at the integer residuals of its
-        zero-penalty range (``[-max_slack, 0]`` for ``<=``, ``[0, max_slack]``
-        for ``>=``, ``0`` for ``=``) and grows with the distance outside it.
-        So the penalty at the residual of the row's span nearest that range,
-        or 0 where they meet, is at most each code's own.  These are summed
-        in checking order and tested against ``bound`` after each row, plus
-        ``floor``, as :func:`_completion_energies` sums and tests, so a
-        chunk fails only where each of its codes fails, rounding included.
+        zero-penalty range, from 0 to ``-sign * max_slack`` (``_SLACK_SIGN``),
+        and grows with the distance outside it.  So the penalty at the
+        residual of the row's span nearest that range, or 0 where they meet,
+        is at most each code's own.  These are summed in checking order and
+        tested against ``bound`` after each row, plus ``floor``, as
+        :func:`_completion_energies` sums and tests, so a chunk fails only
+        where each of its codes fails, rounding included.
         """
         keep = np.ones(_chunk_count(self.n), dtype=bool)
         total = np.zeros(keep.shape)
-        for k in self.simple_rows:
-            if self.spans[k] is not None:
-                row = self.rows[k]
-                lo, hi = (side - row["rhs"] for side in self.spans[k])
-                low_end = -row["max_slack"] if row["sense"] == "<=" else 0.0
-                high_end = row["max_slack"] if row["sense"] == ">=" else 0.0
-                nearest = np.where(lo > high_end, lo, np.minimum(hi, low_end))
+        for row in (row for row in self.rows if not row.pairs):
+            if row.span is not None:
+                lo, hi = (side - row.rhs for side in row.span)
+                end = -_SLACK_SIGN[row.sense] * row.max_slack
+                nearest = np.where(lo > max(0.0, end), lo, np.minimum(hi, min(0.0, end)))
                 total = total + _row_penalty(row, nearest)
             keep &= total + self.floor <= bound
         return keep
@@ -472,29 +475,28 @@ class _ScanTables:
 def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
     """Raise unless ``reform.qubo`` is the penalty model that ``scan`` minimizes.
 
-    The model is rebuilt from the scan's own records, not from the term
-    loop of :func:`reformulate` or the slack weights: row ``k`` reads
-    ``A[k] . z = b[k]`` over all QUBO variables ``z``, with the compiled
-    linear terms, each merged product pair on its auxiliary and ``+2^bit``
-    (``<=``) or ``-2^bit`` (``>=``) on slack bit ``bit``, and its weight
-    ``W[k]``.  The QUBO is then ``2 triu(A'WA, 1) + diag(diag(A'WA) -
-    2 A'Wb)`` plus the objective and the gadgets, with offset ``const +
-    b'Wb``.  Each entry, and the offset, may differ from the model by
-    ``_MODEL_RTOL`` of the magnitudes summed into it; the first that differs
-    by more raises :class:`~flowqubo.errors.ReformulationError`.
+    The model is rebuilt from the scan's row records, not from the term
+    loop of :func:`reformulate`: row ``k`` reads ``A[k] . z = b[k]`` over all
+    QUBO variables ``z``, with the compiled linear terms, each merged product
+    pair on its auxiliary and ``sign * 2^bit`` on slack bit ``bit``, the sign
+    of its sense in ``_SLACK_SIGN``, and its weight ``W[k]``.  The QUBO is
+    then ``2 triu(A'WA, 1) + diag(diag(A'WA) - 2 A'Wb)`` plus the objective
+    and the gadgets, with offset ``const + b'Wb``.  Each entry, and the
+    offset, may differ from the model by ``_MODEL_RTOL`` of the magnitudes
+    summed into it; the first that differs by more raises
+    :class:`~flowqubo.errors.ReformulationError`.
     """
     n, size = scan.n, reform.qubo.num_vars
     a = np.zeros((len(scan.rows), size))
-    for k, ((lhs, sense, _), row) in enumerate(zip(scan.tables.rows, scan.rows)):
-        for shift, coeff in lhs.terms:
+    for k, row in enumerate(scan.rows):
+        for shift, coeff in row.form.terms:
             a[k, n - 1 - shift] += coeff
-        for p, q in row["pair_pos"]:
-            a[k, reform.aux_products[scan.pairs[p]]] += q
-        sign = 1.0 if sense == "<=" else -1.0
-        for bit, idx in enumerate(row["slack_indices"]):
-            a[k, idx] += sign * 2.0 ** bit
-    weight = np.array([row["weight"] for row in scan.rows])
-    rhs = np.array([row["rhs"] for row in scan.rows])
+        for pair, q in row.pairs.items():
+            a[k, reform.aux_products[pair]] += q
+        for bit, idx in enumerate(row.slack):
+            a[k, idx] += _SLACK_SIGN[row.sense] * 2.0 ** bit
+    weight = np.array([row.weight for row in scan.rows])
+    rhs = np.array([row.rhs for row in scan.rows])
 
     def penalty(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         m = (a.T * weight) @ a
@@ -506,13 +508,12 @@ def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
         extra[min(i, j), max(i, j)] += value
         extra_mass[min(i, j), max(i, j)] += abs(value)
 
-    objective = scan.tables.objective
+    objective = scan.objective
     for shift, coeff in objective.terms:
         add(n - 1 - shift, n - 1 - shift, coeff)
     for shift_u, shift_v, q in objective.products:
         add(n - 1 - shift_u, n - 1 - shift_v, q)
-    for i, j in scan.pairs:
-        w = reform.aux_products[(i, j)]
+    for (i, j), w in sorted(reform.aux_products.items()):
         for u, v, c in ((i, j, 1.0), (i, w, -2.0), (j, w, -2.0), (w, w, 3.0)):
             add(u, v, c * scan.rho)
 
@@ -535,30 +536,28 @@ def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
             f"the source program gives {offset!r}")
 
 
-def _row_slack(row, residual: np.ndarray) -> np.ndarray:
-    """Optimal slack of an inequality row; integer coefficients make it
-    unique, so np.rint never sits on a tie."""
-    return np.clip(np.rint(-residual if row["sense"] == "<=" else residual),
-                   0.0, row["max_slack"])
+def _row_slack(row: _ScanRow, residual: np.ndarray) -> np.ndarray:
+    """Optimal slack of an inequality row, the ``s`` in ``[0, max_slack]``
+    nearest ``-sign * residual``; integer coefficients make it unique, so
+    np.rint never sits on a tie."""
+    return np.clip(np.rint(-_SLACK_SIGN[row.sense] * residual), 0.0, row.max_slack)
 
 
-def _row_penalty(row, residual: np.ndarray) -> np.ndarray:
-    """Penalty of one row after closed-form slack minimization.
-
-    ``residual`` is lhs - rhs before slack; an equality row has no slack.
-    """
-    if row["sense"] == "<=":
-        residual = residual + _row_slack(row, residual)
-    elif row["sense"] == ">=":
-        residual = residual - _row_slack(row, residual)
-    return row["weight"] * np.square(residual)
+def _row_penalty(row: _ScanRow, residual: np.ndarray) -> np.ndarray:
+    """Penalty of one row at its optimal slack (:func:`_row_slack`), none on
+    an equality; ``residual`` is lhs - rhs before slack."""
+    sign = _SLACK_SIGN[row.sense]
+    if sign:
+        residual = residual + sign * _row_slack(row, residual)
+    return row.weight * np.square(residual)
 
 
 def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
     """Lowest gadget-plus-row energy of one auxiliary component, per code.
 
+    ``members`` are its source pairs and ``row_ids`` its rows in ``scan.rows``.
     ``bits`` maps a source variable to its 0/1 values and ``residual`` a row
-    to its residuals, both over the same codes.  Settings are tried in
+    index to its residuals, both over the same codes.  Settings are tried in
     lexicographic order and only a strict improvement replaces the
     incumbent, so ties resolve to the lexicographically smallest setting.
     Returns the minima and the index of the setting attaining each.
@@ -566,13 +565,12 @@ def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
     best = choice = None
     for idx, w_tuple in enumerate(itertools.product((0, 1), repeat=len(members))):
         acc = 0.0
-        for w, p in zip(w_tuple, members):
-            i, j = scan.pairs[p]
+        for w, (i, j) in zip(w_tuple, members):
             acc = acc + scan.rho * rosenberg_penalty(bits[i], bits[j], w)
         w_at = dict(zip(members, w_tuple))
         for k in row_ids:
             row = scan.rows[k]
-            shift = sum(q * w_at[p] for p, q in row["pair_pos"])
+            shift = sum(q * w_at[pair] for pair, q in row.pairs.items())
             acc = acc + _row_penalty(row, residual[k] + shift)
         if best is None:
             best, choice = acc, np.zeros(np.shape(acc), dtype=np.int64)
@@ -587,31 +585,32 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     """Minimal completion energies of the ``codes`` not pruned by ``bound``.
 
     The energy is summed in one fixed order: the closed-form penalties of
-    the product-free rows in checking order, then the objective, then the
-    component minima.  Every penalty is >= 0 and the objective is at least
-    ``scan.floor``, so the penalties summed so far plus that floor never
-    exceed the final energy, rounding included.  A code is dropped as soon
-    as that lower bound exceeds ``bound``, and once every code is dropped
-    nothing more is evaluated.  ``codes`` lie in one aligned chunk of
-    ``2^_CHUNK_BITS``, as the row evaluators (``scan.checks``) require.
+    the product-free rows of ``scan.rows`` in checking order, then the
+    objective, then the component minima.  Every penalty is >= 0 and the
+    objective is at least ``scan.floor``, so the penalties summed so far
+    plus that floor never exceed the final energy, rounding included.  A
+    code is dropped as soon as that lower bound exceeds ``bound``, and once
+    every code is dropped nothing more is evaluated.  ``codes`` lie in one
+    aligned chunk of ``2^_CHUNK_BITS``, as the row evaluators require.
     :meth:`_ScanTables.chunks_within` makes the same test for a whole chunk
     at once, so :func:`verify` passes only the chunks that can keep a code.
     Returns the kept codes, their objectives and their energies.
     """
     energy = np.zeros(codes.shape)
-    for k in scan.simple_rows:
+    for row in (row for row in scan.rows if not row.pairs):
         if not codes.size:
             break
-        energy = energy + _row_penalty(scan.rows[k], scan.residual(k, codes))
+        energy = energy + _row_penalty(row, row.residual(codes))
         keep = energy + scan.floor <= bound
         codes, energy = codes[keep], energy[keep]
     if not codes.size:
         return codes, energy, energy
-    obj = scan.tables.objective.values(codes)
+    obj = scan.objective.values(codes)
     energy = energy + obj
-    n = scan.n
-    bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
-    residual = {k: scan.residual(k, codes) for _, row_ids in scan.components for k in row_ids}
+    bits = {i: (codes >> (scan.n - 1 - i)) & 1
+            for members, _ in scan.components for pair in members for i in pair}
+    residual = {k: scan.rows[k].residual(codes)
+                for _, row_ids in scan.components for k in row_ids}
     for members, row_ids in scan.components:
         energy = energy + _component_minimum(scan, members, row_ids, bits,
                                              residual)[0]
@@ -625,17 +624,17 @@ def verify(reform: Reformulation) -> VerificationReport:
     the QUBO (:func:`_check_layout`), and the QUBO must match the scanned
     penalty model term by term, or
     :class:`~flowqubo.errors.ReformulationError` is raised.  For each source
-    assignment the slack bits are optimized in closed form and the
-    auxiliaries by enumeration over their coupling components, which
-    reproduces the exact QUBO minimum over completions.  Exactness failures
-    are feasible assignments whose minimal completion energy differs from
-    the objective; dominance failures are infeasible assignments whose
-    completion energy does not exceed the feasible optimum.  ``passed`` also
-    requires a feasible assignment: without one there is no feasible
-    optimum for the QUBO minimum to sit on.  More than ``_VAR_LIMIT`` source
-    variables, checked before anything is compiled, or more than
-    ``_GROUP_LIMIT`` product pairs in one auxiliary component, raise
-    :class:`~flowqubo.errors.ExhaustiveLimitError`.
+    assignment the slack bits, signed by ``_SLACK_SIGN``, are optimized in
+    closed form and the auxiliaries by enumeration over their coupling
+    components, which reproduces the exact QUBO minimum over completions.
+    Exactness failures are feasible assignments whose minimal completion
+    energy differs from the objective; dominance failures are infeasible
+    assignments whose completion energy does not exceed the feasible
+    optimum.  ``passed`` also requires a feasible assignment: without one
+    there is no feasible optimum for the QUBO minimum to sit on.  More than
+    ``_VAR_LIMIT`` source variables, checked before anything is compiled, or
+    more than ``_GROUP_LIMIT`` product pairs in one auxiliary component,
+    raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
 
     The scan makes two survivor-filtered passes over the integer codes of
     the source assignments.  The first keeps the feasible codes, row by row
@@ -648,11 +647,11 @@ def verify(reform: Reformulation) -> VerificationReport:
     penalties are >= 0, and enumerates auxiliaries only on the rest.  With
     no feasible code ``T`` is infinite and the second pass completes every
     code, one chunk at a time.  Both passes read the rows the oracle
-    compiles through one evaluator per row, made when the call starts, the
-    second taking a product-free row's residual as that evaluator's value
-    minus ``rhs``, so each row has one low-bit table per call, split at bit
-    ``_CHUNK_BITS`` as in the oracle scan; any other form, the objective
-    included, is summed term by term.
+    compiles, one :class:`_ScanRow` each, made when the call starts with the
+    row's evaluator, the second taking a product-free row's residual as
+    that evaluator's value minus ``rhs``, so each row has one low-bit table
+    per call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
+    form, the objective included, is summed term by term.
 
     Each pass first tests whole chunks against the span of each split row
     over the chunk, taken from the same split, and builds codes only for the
@@ -681,7 +680,7 @@ def verify(reform: Reformulation) -> VerificationReport:
     feasible_min_energy = np.inf
     exactness = []
     for codes in _code_chunks(n, scan.feasible_chunks()):
-        codes = _feasible_codes(scan.checks, codes)
+        codes = _feasible_codes(scan.rows, codes)
         if not codes.size:
             continue
         _, obj, energy = _completion_energies(scan, codes)
@@ -706,7 +705,7 @@ def verify(reform: Reformulation) -> VerificationReport:
             best_energy = float(energy[chunk_best])
             best_k = int(codes[chunk_best])
         if feasible_count:
-            infeasible = ~np.isin(codes, _feasible_codes(scan.checks, codes))
+            infeasible = ~np.isin(codes, _feasible_codes(scan.rows, codes))
             flagged = infeasible & (energy <= feasible_opt + _FEAS_TOL)
             dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
                                                     codes[flagged].tolist())))
@@ -746,21 +745,21 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
     n = scan.n
     codes = np.array([code], dtype=np.int64)
     full = _bit_rows(codes, n)[0].tolist() + [0] * (reform.qubo.num_vars - n)
-    bits = {i: (codes >> (n - 1 - i)) & 1 for pair in scan.pairs for i in pair}
-    residual = [scan.residual(k, codes) for k in range(len(scan.rows))]
+    bits = {i: (codes >> (n - 1 - i)) & 1 for pair in reform.aux_products for i in pair}
+    residual = [row.residual(codes) for row in scan.rows]
 
     w_chosen = {}
     for members, row_ids in scan.components:
         _, choice = _component_minimum(scan, members, row_ids, bits, residual)
-        for w, p in zip(_bit_rows(choice, len(members))[0].tolist(), members):
-            w_chosen[p] = w
-            full[reform.aux_products[scan.pairs[p]]] = w
+        for w, pair in zip(_bit_rows(choice, len(members))[0].tolist(), members):
+            w_chosen[pair] = w
+            full[reform.aux_products[pair]] = w
 
-    for k, row in enumerate(scan.rows):
-        if not row["slack_indices"]:
+    for row, row_residual in zip(scan.rows, residual):
+        if not row.slack:
             continue
-        shift = sum(q * w_chosen[p] for p, q in row["pair_pos"])
-        slack = int(_row_slack(row, residual[k] + shift)[0])
-        for bit, idx in enumerate(row["slack_indices"]):
+        shift = sum(q * w_chosen[pair] for pair, q in row.pairs.items())
+        slack = int(_row_slack(row, row_residual + shift)[0])
+        for bit, idx in enumerate(row.slack):
             full[idx] = (slack >> bit) & 1
     return tuple(full)

@@ -448,7 +448,7 @@ def _program_tables(program: BinaryProgram) -> ProgramTables:
 def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     """The codes among ``codes`` that satisfy every row, in their order.
 
-    ``checks`` holds one ``(evaluate, sense, rhs)`` per row, in checking
+    ``checks`` holds one ``(evaluate, sense, rhs, ...)`` per row, in checking
     order, and ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``.
     Each row is evaluated only on the codes that survived the rows before
     it, and drops the ones it rejects.  An integral row's evaluator reads
@@ -457,7 +457,7 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     code is still tested until a row rejects it, so the scan stays
     exhaustive over the codes it is given.
     """
-    for evaluate, sense, rhs in checks:
+    for evaluate, sense, rhs, *_ in checks:
         if not codes.size:
             break
         codes = codes[row_holds(sense, evaluate(codes), rhs)]

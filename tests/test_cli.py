@@ -135,10 +135,13 @@ def test_solve_sa_seeded_rerun_is_byte_identical(tmp_path, tiny_space_file):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_solve_sa_invalid_reads_exits_3(tmp_path, capsys):
-    assert main(["solve", "--case", "ds", "--solver", "sa", "--seed", "1",
-                 "--reads", "0", "--out", str(tmp_path)]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_solve_sa_invalid_reads_exits_2(tmp_path, capsys):
+    # refused as a bad option before the sampler runs, not as a solver failure
+    for option in ("--reads", "--sweeps"):
+        assert main(["solve", "--case", "ds", "--solver", "sa", "--seed", "1",
+                     option, "0", "--out", str(tmp_path)]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "samples.json").exists()
 
 
 def test_tau_is_null_unless_requested(tmp_path, tiny_space_file):

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,14 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
 
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """Every function the benchmark's traced run wraps still exists under the
+    name it wraps: ``layers.instrument`` looks each one up and registers a
+    patch, installing none.  It takes the modules as ``perfbench/run.py``
+    passes them, since the package's ``reformulate`` is the function."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    layers.instrument(types.SimpleNamespace(**{
+        name: importlib.import_module(f"flowqubo.{name}")
+        for name in ("cli", "flowsheets", "metrics", "reformulate", "solvers")}))

@@ -25,7 +25,13 @@ from flowqubo import (
     verify,
 )
 from flowqubo import solvers
-from flowqubo.reformulate import _completion_energies, _ScanTables
+from flowqubo.reformulate import (
+    _completion_energies,
+    _row_penalty,
+    _row_slack,
+    _ScanRow,
+    _ScanTables,
+)
 
 
 def _program(objective, constraints, names=None, products=()):
@@ -289,6 +295,41 @@ def test_reformulation_recovers_planted_optimum(prog):
     assert decoded.feasible
     assert decoded.objective == pytest.approx(best.objective, abs=1e-9)
     assert qubo_oracle.best().energy == pytest.approx(best.objective, abs=1e-9)
+
+
+def _penalty_row(sense, weight, bits):
+    return _ScanRow(evaluate=None, sense=sense, rhs=0.0, form=None, span=None,
+                    weight=weight, slack=tuple(range(bits)), pairs={})
+
+
+@given(st.sampled_from(("<=", ">=")), st.integers(0, 4),
+       st.floats(1e-3, 1e6), st.lists(st.integers(-60, 60), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_row_slack_is_the_best_of_every_slack_setting(sense, bits, weight, drawn):
+    """On integer residuals, below, inside and above a row's slack range,
+    ``_row_slack`` is the one setting ``s`` of the row's ``bits`` slack
+    bits that minimizes ``w * (r + sign * s)^2`` (sign +1 on ``<=``, -1 on
+    ``>=``), and ``_row_penalty`` equals that minimum exactly."""
+    row = _penalty_row(sense, weight, bits)
+    top = (1 << bits) - 1
+    residual = np.array([*range(-top - 3, top + 4), *drawn], dtype=float)
+    sign = 1 if sense == "<=" else -1
+    energies = np.array([weight * np.square(residual + sign * s) for s in range(top + 1)])
+    least = energies.min(axis=0)
+    assert (_row_penalty(row, residual) == least).all()
+    assert ((energies == least).sum(axis=0) == 1).all()
+    assert (_row_slack(row, residual) == energies.argmin(axis=0)).all()
+
+
+@given(st.floats(1e-3, 1e6), st.lists(st.floats(-50, 50), min_size=1, max_size=8))
+@example(3.0, [0.5, -0.25, 1e-9, 0.0])
+@settings(max_examples=100, deadline=None)
+def test_equality_row_penalty_has_no_slack(weight, residuals):
+    """An equality row has the one, empty, slack setting: its penalty is
+    ``w * r^2`` at any residual, fractional ones included."""
+    residual = np.array(residuals)
+    assert (_row_penalty(_penalty_row("=", weight, 0), residual)
+            == weight * np.square(residual)).all()
 
 
 # -- verify against the dense scan it replaced ----------------------------------
