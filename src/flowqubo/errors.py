@@ -3,6 +3,17 @@
 import json
 import math
 
+__all__ = [
+    "FlowQuboError",
+    "DimensionError",
+    "ModelError",
+    "ReformulationError",
+    "ExhaustiveLimitError",
+    "SampleFormatError",
+    "EnergyMismatchError",
+    "SolverError",
+]
+
 
 class FlowQuboError(Exception):
     """Base class for every error raised by this package."""

@@ -243,13 +243,8 @@ def pareto_front(points: Iterable[ParetoPoint]) -> tuple[ParetoPoint, ...]:
                                             p.continuous_objective,
                                             p.config_id))
     front: list[ParetoPoint] = []
-    seen: set[tuple[float, float]] = set()
     best_cont = math.inf
     for p in ordered:
-        key = (p.discrete_objective, p.continuous_objective)
-        if key in seen:
-            continue
-        seen.add(key)
         if p.continuous_objective < best_cont:
             front.append(p)
             best_cont = p.continuous_objective

@@ -401,7 +401,11 @@ class _ScanTables:
     ``rows`` holds one :class:`_ScanRow` per row the oracle compiles, in its
     checking order; each row's evaluator is made once here, so each row has
     one low-bit table per call.  ``components`` lists each auxiliary
-    component as its sorted source pairs and the indices of its rows.
+    component as its sorted source pairs, the indices of its rows and its
+    ``2^g`` auxiliary settings, one 0/1 list each, in the order of their
+    codes (:func:`~flowqubo.solvers._bit_rows`).  More than ``_GROUP_LIMIT``
+    pairs in one component raise
+    :class:`~flowqubo.errors.ExhaustiveLimitError`.
     """
 
     def __init__(self, reform: Reformulation):
@@ -433,8 +437,15 @@ class _ScanTables:
                 components = [c for c in components if c[0].isdisjoint(row.pairs)]
                 components.append((set().union(*(c[0] for c in joined)),
                                    sorted(j for c in joined for j in c[1]) + [k]))
-        self.components = sorted((sorted(members), row_ids)
-                                 for members, row_ids in components)
+        self.components = []
+        for members, row_ids in sorted((sorted(members), row_ids)
+                                       for members, row_ids in components):
+            if len(members) > _GROUP_LIMIT:
+                raise ExhaustiveLimitError(
+                    f"auxiliary component of size {len(members)} exceeds the "
+                    f"bound of {_GROUP_LIMIT}")
+            settings = _bit_rows(np.arange(1 << len(members)), len(members)).tolist()
+            self.components.append((members, row_ids, settings))
 
     def feasible_chunks(self) -> np.ndarray:
         """One bool per chunk of :func:`~flowqubo.solvers._code_chunks`:
@@ -552,22 +563,24 @@ def _row_penalty(row: _ScanRow, residual: np.ndarray) -> np.ndarray:
     return row.weight * np.square(residual)
 
 
-def _component_minimum(scan: _ScanTables, members, row_ids, bits, residual):
+def _component_minimum(scan: _ScanTables, component, bits, residual):
     """Lowest gadget-plus-row energy of one auxiliary component, per code.
 
-    ``members`` are its source pairs and ``row_ids`` its rows in ``scan.rows``.
-    ``bits`` maps a source variable to its 0/1 values and ``residual`` a row
-    index to its residuals, both over the same codes.  Settings are tried in
-    lexicographic order and only a strict improvement replaces the
+    ``component`` is an entry of ``scan.components``: its source pairs, its
+    rows in ``scan.rows`` and its settings.  ``bits`` maps a source variable
+    to its 0/1 values and ``residual`` a row index to its residuals, both
+    over the same codes.  Settings are tried in the order of their codes,
+    which is lexicographic, and only a strict improvement replaces the
     incumbent, so ties resolve to the lexicographically smallest setting.
     Returns the minima and the index of the setting attaining each.
     """
+    members, row_ids, settings = component
     best = choice = None
-    for idx, w_tuple in enumerate(itertools.product((0, 1), repeat=len(members))):
+    for idx, w_row in enumerate(settings):
         acc = 0.0
-        for w, (i, j) in zip(w_tuple, members):
+        for w, (i, j) in zip(w_row, members):
             acc = acc + scan.rho * rosenberg_penalty(bits[i], bits[j], w)
-        w_at = dict(zip(members, w_tuple))
+        w_at = dict(zip(members, w_row))
         for k in row_ids:
             row = scan.rows[k]
             shift = sum(q * w_at[pair] for pair, q in row.pairs.items())
@@ -608,12 +621,11 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     obj = scan.objective.values(codes)
     energy = energy + obj
     bits = {i: (codes >> (scan.n - 1 - i)) & 1
-            for members, _ in scan.components for pair in members for i in pair}
+            for members, *_ in scan.components for pair in members for i in pair}
     residual = {k: scan.rows[k].residual(codes)
-                for _, row_ids in scan.components for k in row_ids}
-    for members, row_ids in scan.components:
-        energy = energy + _component_minimum(scan, members, row_ids, bits,
-                                             residual)[0]
+                for _, row_ids, _ in scan.components for k in row_ids}
+    for component in scan.components:
+        energy = energy + _component_minimum(scan, component, bits, residual)[0]
     return codes, obj, energy
 
 
@@ -667,11 +679,6 @@ def verify(reform: Reformulation) -> VerificationReport:
         raise ExhaustiveLimitError(
             f"{n} source variables exceed the exhaustive bound of {_VAR_LIMIT}")
     scan = _ScanTables(reform)
-    for members, _ in scan.components:
-        if len(members) > _GROUP_LIMIT:
-            raise ExhaustiveLimitError(
-                f"auxiliary component of size {len(members)} exceeds the "
-                f"bound of {_GROUP_LIMIT}")
     _check_qubo(reform, scan)
     energy_tol = max(1e-6, 10 * _FEAS_TOL)
 
@@ -749,9 +756,10 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
     residual = [row.residual(codes) for row in scan.rows]
 
     w_chosen = {}
-    for members, row_ids in scan.components:
-        _, choice = _component_minimum(scan, members, row_ids, bits, residual)
-        for w, pair in zip(_bit_rows(choice, len(members))[0].tolist(), members):
+    for component in scan.components:
+        members, _, settings = component
+        _, choice = _component_minimum(scan, component, bits, residual)
+        for w, pair in zip(settings[choice[0]], members):
             w_chosen[pair] = w
             full[reform.aux_products[pair]] = w
 

@@ -92,6 +92,20 @@ def test_solve_custom_model(tmp_path, custom_model_file):
     assert samples.best().objective == 1.0
 
 
+def test_zero_variable_model_solves_and_reports(tmp_path):
+    """The samples.json that solve writes for a zero-variable program, with
+    its empty assignment, is read back by report."""
+    model = tmp_path / "empty.json"
+    model.write_text(json.dumps({"var_names": [],
+                                 "objective": {"linear": {}, "constant": 1.5}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--case", "custom", "--model", str(model),
+                 "--solver", "oracle", "--out", str(out)]) == 0
+    assert main(["report", "--case", "custom", "--model", str(model),
+                 "--samples", str(out / "samples.json"), "--target", "opt",
+                 "--out", str(out)]) == 0
+
+
 def test_solve_oracle_ds(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--case", "ds", "--solver", "oracle",

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
@@ -22,6 +23,22 @@ def test_every_exported_name_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_package_reexports_each_modules_names():
+    """The package exports ``__version__`` and each module's ``__all__``,
+    every name in one list only and bound to its module's object; the
+    package attribute ``reformulate`` is the function, not its module."""
+    modules = [importlib.import_module(f"flowqubo.{name}")
+               for name in ("errors", "flowsheets", "ip", "metrics", "qubo",
+                            "reformulate", "solvers")]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert set(flowqubo.__all__) == {"__version__", *names}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(flowqubo, name) is getattr(module, name)
+    assert flowqubo.reformulate is sys.modules["flowqubo.reformulate"].reformulate
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):

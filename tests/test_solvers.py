@@ -73,6 +73,20 @@ def test_sampleset_json_round_trip(tmp_path):
     assert again.metadata["num_reads"] == 2
 
 
+def test_zero_variable_sample_sets_round_trip(tmp_path):
+    """Every solver answers a zero-variable program with assignment ``()``,
+    saved as the empty 0/1 string; each sample set loads back unchanged."""
+    prog = BinaryProgram(var_names=(), objective={}, objective_constant=1.5)
+    path = tmp_path / "s.json"
+    for ss in (brute_force(prog), branch_and_bound(prog),
+               simulated_annealing(reformulate(prog).qubo,
+                                   SaParams(num_reads=3, num_sweeps=2, seed=1))):
+        assert [r.assignment for r in ss.records] == [()]
+        ss.save(path)
+        assert json.loads(path.read_text())["records"][0]["assignment"] == ""
+        assert SampleSet.load(path).to_json_dict() == ss.to_json_dict()
+
+
 def test_save_can_blank_tau(tmp_path):
     ss = SampleSet.build([SampleRecord((0,), 0.0)], "t", tau=9.9)
     path = tmp_path / "s.json"
