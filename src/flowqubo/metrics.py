@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ModelError
 from .ip import BinaryProgram
 from .solvers import SampleSet
@@ -64,7 +62,8 @@ def ttt(tau: float, p_target: float, s: float = 0.99) -> float:
 
 @dataclass(frozen=True)
 class SuccessEstimate:
-    """Estimated per-read success probability with a 95% Wilson interval."""
+    """Success probability: per read with a 95% Wilson interval ("counting"),
+    or per batch as observed, with ``ci == (p, p)`` ("coverage")."""
 
     p: float
     ci: tuple[float, float]
@@ -83,15 +82,13 @@ class OptimalityTarget:
 class AllFeasibleTarget:
     """Hit = one batch of reads covering every reference configuration.
 
-    ``reference`` is an oracle sample set enumerating the feasible
-    configurations of ``program``; success of a batch means its feasible
-    projected configurations are a superset of the reference ones.
+    The reference's feasible records, projected onto ``program``, are the
+    configurations; it should be exhaustive (oracle, ``enumerate_all`` or a
+    full pool).
     """
 
     reference: SampleSet
     program: BinaryProgram
-    resamples: int = 1000
-    seed: int = 0
 
 
 def _wilson(hits: int, total: int) -> tuple[float, float]:
@@ -121,22 +118,46 @@ def _record_key(assignment: tuple[int, ...], program: BinaryProgram):
         f"({program.num_vars} variables) nor its projection ({len(proj)})")
 
 
-def _projected_feasible_keys(samples: SampleSet, program: BinaryProgram) -> set:
-    keys = set()
+def _feasible_configurations(samples: SampleSet, program: BinaryProgram) -> dict:
+    """Occurrences of each feasible projected configuration of ``samples``,
+    keyed in the order of each configuration's first record."""
+    counts: dict = {}
     for rec in samples.records:
         if rec.feasible:
-            keys.add(_record_key(rec.assignment, program))
-    return keys
+            key = _record_key(rec.assignment, program)
+            counts[key] = counts.get(key, 0) + rec.occurrences
+    return counts
+
+
+def _reference_configurations(reference: SampleSet, program: BinaryProgram) -> dict:
+    configs = _feasible_configurations(reference, program)
+    if not configs:
+        raise ModelError("reference sample set has no feasible records")
+    return configs
+
+
+def _coverage(samples: SampleSet, target: AllFeasibleTarget):
+    """Observed coverage estimate, and how many of how many reference
+    configurations the samples' feasible records reach."""
+    if not samples.records:
+        raise ModelError("cannot estimate success from an empty sample set")
+    reference = _reference_configurations(target.reference, target.program)
+    found = sum(key in reference
+                for key in _feasible_configurations(samples, target.program))
+    p = 1.0 if found == len(reference) else 0.0
+    return SuccessEstimate(p=p, ci=(p, p), method="coverage"), found, len(reference)
 
 
 def estimate_success(samples: SampleSet, target) -> SuccessEstimate:
-    """Per-read probability of hitting ``target``.
+    """Probability of hitting ``target``.
 
-    Optimality targets use the exact occurrence-weighted hit fraction.  The
-    all-feasible target is a batch property, so when coverage is incomplete
-    the probability that a batch of the same size covers everything is
-    estimated by a seeded bootstrap over the reads.
+    Optimality targets use the exact occurrence-weighted hit fraction per
+    read.  The all-feasible target is a batch property and is observed: ``p``
+    is 1 when the batch reached every reference configuration, else 0 (a
+    resample of the reads cannot reach a configuration the batch missed).
     """
+    if isinstance(target, AllFeasibleTarget):
+        return _coverage(samples, target)[0]
     if not samples.records:
         raise ModelError("cannot estimate success from an empty sample set")
     if isinstance(target, OptimalityTarget):
@@ -145,34 +166,6 @@ def estimate_success(samples: SampleSet, target) -> SuccessEstimate:
                    if r.energy <= target.energy + target.tol)
         return SuccessEstimate(p=hits / total, ci=_wilson(hits, total),
                                method="counting")
-    if isinstance(target, AllFeasibleTarget):
-        program = target.program
-        ref_keys = _projected_feasible_keys(target.reference, program)
-        if not ref_keys:
-            raise ModelError("reference sample set has no feasible records")
-        found = _projected_feasible_keys(samples, program)
-        if ref_keys <= found:
-            return SuccessEstimate(p=1.0, ci=(1.0, 1.0), method="coverage")
-        records = samples.records
-        rec_keys = [
-            _record_key(r.assignment, program) if r.feasible else None
-            for r in records
-        ]
-        weights = np.array([r.occurrences for r in records], dtype=float)
-        rng = np.random.default_rng(target.seed)
-        counts = rng.multinomial(samples.num_reads, weights / weights.sum(),
-                                 size=target.resamples)
-        ok = np.ones(target.resamples, dtype=bool)
-        for key in ref_keys:
-            idx = [i for i, k in enumerate(rec_keys) if k == key]
-            if not idx:
-                ok[:] = False
-                break
-            ok &= counts[:, idx].sum(axis=1) > 0
-        hits = int(ok.sum())
-        return SuccessEstimate(p=hits / target.resamples,
-                               ci=_wilson(hits, target.resamples),
-                               method="bootstrap")
     raise TypeError(f"unsupported target type {type(target)!r}")
 
 
@@ -188,29 +181,23 @@ class DiversityReport:
 
 def diversity(samples: SampleSet, reference: SampleSet,
               program: BinaryProgram) -> DiversityReport:
-    """How much of the reference solution set the samples recovered.
+    """How much of the reference's feasible configurations the samples recovered.
 
-    Reference records are ranked 1-based in their canonical (energy, bits)
-    order.  ``rank_hits`` counts sample occurrences per recovered rank; a
-    feasible sample outside the reference set means the two sample sets
-    belong to different models and raises.
+    Those configurations, the ones the all-feasible target counts, rank
+    1..total in the order of their first records.  ``rank_hits`` counts
+    sample occurrences per recovered rank.  A reference with no feasible
+    record, or a feasible sample outside it (different models), raises.
     """
-    key_rank: dict = {}
-    for pos, rec in enumerate(reference.records):
-        key_rank.setdefault(_record_key(rec.assignment, program), pos + 1)
-    if not key_rank:
-        raise ModelError("reference sample set is empty")
+    key_rank = {key: rank for rank, key in
+                enumerate(_reference_configurations(reference, program), 1)}
     rank_hits: dict[int, int] = {}
-    for rec in samples.records:
-        if not rec.feasible:
-            continue
-        key = _record_key(rec.assignment, program)
+    for key, occurrences in _feasible_configurations(samples, program).items():
         rank = key_rank.get(key)
         if rank is None:
             raise ModelError(
                 "feasible sample configuration missing from the reference "
                 "set; the sample sets describe different models")
-        rank_hits[rank] = rank_hits.get(rank, 0) + rec.occurrences
+        rank_hits[rank] = occurrences
     found_ranks = tuple(sorted(rank_hits))
     return DiversityReport(
         total=len(key_rank),
@@ -283,28 +270,16 @@ def build_ttt_report(
         p_opt = estimate_success(samples, optimal_target).p
         if tau is not None:
             # tau times the whole batch of reads, so the hit rate is per batch,
-            # as the bootstrap p_feas already is
+            # as the coverage p_feas already is
             ttt_opt = ttt(tau, 1.0 - (1.0 - p_opt) ** samples.num_reads, s)
     if feasible_target is not None:
-        p_feas = estimate_success(samples, feasible_target).p
+        estimate, coverage_found, coverage_total = _coverage(samples, feasible_target)
+        p_feas = estimate.p
         if tau is not None:
             ttt_feas = ttt(tau, p_feas, s)
-        ref_keys = _projected_feasible_keys(feasible_target.reference,
-                                            feasible_target.program)
-        found = _projected_feasible_keys(samples, feasible_target.program)
-        coverage_found = len(found & ref_keys)
-        coverage_total = len(ref_keys)
-    return TttReport(
-        solver=samples.solver,
-        s=s,
-        tau=tau,
-        p_opt=p_opt,
-        p_feas=p_feas,
-        ttt_opt=ttt_opt,
-        ttt_feas=ttt_feas,
-        coverage_found=coverage_found,
-        coverage_total=coverage_total,
-    )
+    return TttReport(solver=samples.solver, s=s, tau=tau, p_opt=p_opt,
+                     p_feas=p_feas, ttt_opt=ttt_opt, ttt_feas=ttt_feas,
+                     coverage_found=coverage_found, coverage_total=coverage_total)
 
 
 def _cell(value) -> str:
@@ -321,7 +296,7 @@ def write_ttt_csv(reports: Sequence[TttReport], path, s: float = 0.99) -> None:
     Unobserved or uncomputed entries show as "-", a target that was never
     hit shows as "inf", and coverage is written as found/total.
     """
-    pct = int(round((reports[0].s if reports else s) * 100))
+    pct = f"{(reports[0].s if reports else s) * 100:g}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["solver", "tau", f"ttopt{pct}", f"ttfeas{pct}", "coverage"])

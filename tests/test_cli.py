@@ -237,6 +237,23 @@ def test_report_s_column_follows_flag(tmp_path):
     assert header == "solver,tau,ttopt50,ttfeas50,coverage"
 
 
+def test_report_against_an_annealer_reference_ranks_its_feasible_set(tmp_path):
+    # A9's ds run as its own reference: its 120 reads hold infeasible
+    # configurations too, which diversity.json must not rank
+    out_sa = tmp_path / "sa"
+    assert main(["solve", "--case", "ds", "--solver", "sa", "--seed", "9",
+                 "--reads", "120", "--sweeps", "150", "--out", str(out_sa)]) == 0
+    samples = str(out_sa / "samples.json")
+    out_report = tmp_path / "report"
+    assert main(["report", "--samples", samples, "--reference", samples,
+                 "--target", "both", "--case", "ds",
+                 "--out", str(out_report)]) == 0
+    coverage = (out_report / "ttt.csv").read_text().splitlines()[1].split(",")[-1]
+    div = json.loads((out_report / "diversity.json").read_text())
+    assert coverage == f"{div['found_count']}/{div['total']}"
+    assert div["found_ranks"] == list(range(1, div["total"] + 1))
+
+
 def test_report_validation(tmp_path, capsys):
     out_oracle = tmp_path / "oracle"
     assert main(["solve", "--case", "ds", "--solver", "oracle",

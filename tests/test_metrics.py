@@ -11,13 +11,16 @@ from flowqubo import (
     ModelError,
     OptimalityTarget,
     ParetoPoint,
+    SaParams,
     SampleRecord,
     SampleSet,
+    branch_and_bound,
     brute_force,
     build_ttt_report,
     diversity,
     estimate_success,
     pareto_front,
+    simulated_annealing,
     ttt,
     write_pareto_csv,
     write_ttt_csv,
@@ -116,42 +119,31 @@ def test_coverage_estimate_full_coverage():
     assert est.ci == (1.0, 1.0)
 
 
-def test_coverage_estimate_bootstraps_partial_coverage():
+def test_coverage_estimate_partial_coverage_is_observed_zero():
+    # (1, 1) is never read, so this batch did not cover the reference
     prog = _cover_program()
     reference = brute_force(prog)
     ss = _samples([
         SampleRecord((1, 0), 1.0, occurrences=40, feasible=True, objective=1.0),
         SampleRecord((0, 1), 2.0, occurrences=40, feasible=True, objective=2.0),
     ])
-    est = estimate_success(
-        ss, AllFeasibleTarget(reference=reference, program=prog, resamples=400,
-                              seed=5))
-    assert est.method == "bootstrap"
-    assert est.p == 0.0          # (1, 1) can never appear in a resample
-    est2 = estimate_success(
-        ss, AllFeasibleTarget(reference=reference, program=prog, resamples=400,
-                              seed=5))
-    assert est.p == est2.p and est.ci == est2.ci
+    est = estimate_success(ss, AllFeasibleTarget(reference=reference, program=prog))
+    assert est.method == "coverage"
+    assert est.p == 0.0
+    assert est.ci == (0.0, 0.0)
 
 
-def test_bootstrap_ci_width_tracks_resamples():
-    # a configuration absent from the reads has empirical mass zero, so the
-    # resampled batches can never cover it; the upper confidence bound is
-    # what communicates how hard the bootstrap looked
+def test_coverage_target_rejects_reference_without_feasible_records():
     prog = _cover_program()
-    reference = brute_force(prog)
-    ss = _samples([
-        SampleRecord((1, 0), 1.0, occurrences=30, feasible=True, objective=1.0),
-        SampleRecord((0, 1), 2.0, occurrences=30, feasible=True, objective=2.0),
-    ])
-    wide = estimate_success(
-        ss, AllFeasibleTarget(reference=reference, program=prog, resamples=50))
-    tight = estimate_success(
-        ss, AllFeasibleTarget(reference=reference, program=prog, resamples=5000))
-    assert wide.method == tight.method == "bootstrap"
-    assert wide.p == tight.p == 0.0
-    assert wide.ci[0] == tight.ci[0] == 0.0
-    assert tight.ci[1] < wide.ci[1] < 0.1
+    unflagged = _samples([SampleRecord((1, 0), 1.0)])
+    ss = _samples([SampleRecord((1, 0), 1.0, feasible=True, objective=1.0)])
+    target = AllFeasibleTarget(reference=unflagged, program=prog)
+    with pytest.raises(ModelError):
+        estimate_success(ss, target)
+    with pytest.raises(ModelError):
+        build_ttt_report(ss, feasible_target=target)
+    with pytest.raises(ModelError):
+        diversity(ss, unflagged, prog)
 
 
 # -- diversity -----------------------------------------------------------------
@@ -182,6 +174,49 @@ def test_diversity_rejects_foreign_solutions():
     foreign = _samples([SampleRecord((0, 0), 0.0, feasible=True, objective=0.0)])
     with pytest.raises(ModelError):
         diversity(foreign, reference, prog)
+
+
+def test_diversity_ranks_only_feasible_reference_configurations():
+    # an annealer's batch as its own reference: the infeasible record takes
+    # no rank, so the ranks are 1..3 and match the ttt.csv coverage
+    prog = _cover_program()
+    ss = _samples([
+        SampleRecord((1, 0), 1.0, occurrences=4, feasible=True, objective=1.0),
+        SampleRecord((0, 1), 2.0, occurrences=3, feasible=True, objective=2.0),
+        SampleRecord((1, 1), 3.0, occurrences=2, feasible=True, objective=3.0),
+        SampleRecord((0, 0), 4.0, occurrences=1, feasible=False, objective=None),
+    ])
+    rep = diversity(ss, ss, prog)
+    assert rep.total == 3
+    assert rep.found_ranks == (1, 2, 3)
+    assert rep.rank_hits == {1: 4, 2: 3, 3: 2}
+    report = build_ttt_report(
+        ss, feasible_target=AllFeasibleTarget(reference=ss, program=prog))
+    assert (report.coverage_found, report.coverage_total) == (3, 3)
+
+
+@pytest.mark.parametrize("case", ["il", "ds"])
+def test_diversity_and_ttt_coverage_read_one_reference_set(case, request):
+    program = request.getfixturevalue(f"{case}_program")
+    reform = request.getfixturevalue(f"{case}_reform")
+    sa = reform.decode_sampleset(simulated_annealing(
+        reform.qubo, SaParams(num_reads=120, num_sweeps=150, seed=9)))
+    references = {
+        "oracle": request.getfixturevalue(f"{case}_oracle"),
+        "bb-pool": branch_and_bound(program, "pool", pool_size=512),
+        "sa": sa,
+    }
+    for name, reference in references.items():
+        rep = diversity(sa, reference, program)
+        report = build_ttt_report(
+            sa, feasible_target=AllFeasibleTarget(reference=reference,
+                                                  program=program))
+        assert rep.total == report.coverage_total, name
+        assert rep.found_count == report.coverage_found, name
+        assert set(rep.found_ranks) <= set(range(1, rep.total + 1)), name
+    # against itself every configuration is found, so the ranks are 1..total
+    assert rep.found_ranks == tuple(range(1, rep.total + 1))
+    assert report.p_feas == 1.0
 
 
 def test_diversity_projects_full_assignments():
@@ -334,6 +369,9 @@ def test_write_ttt_csv_header_tracks_s(tmp_path):
     path = tmp_path / "ttt.csv"
     write_ttt_csv([], path, s=0.5)
     assert path.read_text().splitlines() == ["solver,tau,ttopt50,ttfeas50,coverage"]
+    # a confidence that is not a whole percent keeps its decimals
+    write_ttt_csv([], path, s=0.999)
+    assert path.read_text().splitlines() == ["solver,tau,ttopt99.9,ttfeas99.9,coverage"]
 
 
 def test_write_pareto_csv_golden(tmp_path):
