@@ -216,6 +216,9 @@ def _cmd_report(args) -> int:
     report = build_ttt_report(samples, s=args.s,
                               optimal_target=optimal_target,
                               feasible_target=feasible_target)
+    # a feasible sample configuration foreign to the reference exits 2 here,
+    # before anything is written
+    div = diversity(samples, reference, program) if reference is not None else None
     outdir = _out_dir(args)
     write_ttt_csv([report], outdir / "ttt.csv", s=args.s)
     _echo_run_config(
@@ -236,8 +239,7 @@ def _cmd_report(args) -> int:
     print("  ".join(parts))
     print(f"wrote ttt.csv to {outdir}")
 
-    if reference is not None:
-        div = diversity(samples, reference, program)
+    if div is not None:
         _write_json(outdir / "diversity.json", {
             "total": div.total,
             "found_count": div.found_count,

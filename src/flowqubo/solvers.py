@@ -559,6 +559,14 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
 # -- simulated annealing ------------------------------------------------------
 
 
+# tracemalloc's peak over a call grew by 25-31 bytes per spin and read on il,
+# ds and a random 150-variable QUBO (2000 to 8000 reads of 5 sweeps), and by
+# about 14 bytes per sweep: the kernel's states, fields and thresholds, the
+# tally's float64 states and records, and the schedule.  At 32 bytes each,
+# this many spins x reads plus sweeps hold a call near 1 GiB.
+_SA_LIMIT = 2 ** 25
+
+
 @dataclass(frozen=True)
 class SaParams:
     num_reads: int = 1000
@@ -598,7 +606,15 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
     (:func:`_anneal`): no two spins of a class are coupled, so this equals
     visiting them one by one.  State and local fields are float32 and decide
     acceptance only; reported energies are recomputed in float64 by
-    :meth:`QuboModel.energies`.
+    :meth:`QuboModel.energies`.  The kernel holds the spins as ±1, cuts its
+    thresholds from the generator's raw 64-bit words by numpy's own float32
+    formula (:func:`_log_thresholds`), and stops once every spin of every
+    read sits so far below its least possible threshold that no later sweep
+    can flip it: the samples are those of the full run, draw for draw.
+
+    A call of more than 2^25 variables × reads plus sweeps raises
+    :class:`ModelError` before anything is allocated: at the measured peak
+    of at most 32 bytes for each, it could need more than 1 GiB.
 
     ``metadata["acceptance_by_band"]`` holds the share of proposed flips
     accepted in each of ten equal bands of sweeps, hot to cold (fewer bands
@@ -619,6 +635,10 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
 
     n = qubo.num_vars
     reads = params.num_reads
+    if n * reads + params.num_sweeps > _SA_LIMIT:
+        raise ModelError(
+            f"{n} variables x {reads} reads + {params.num_sweeps} sweeps exceed the "
+            f"annealer's limit of {_SA_LIMIT}, about 1 GiB at 32 bytes each")
     t0 = time.perf_counter()
     rng = np.random.default_rng(params.seed)
     metadata = {
@@ -684,15 +704,49 @@ def _colour_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
+# Every threshold is at least log(2^-24), about -16.64, so a spin whose
+# beta * s * F is at or below this cannot flip, whatever it draws
+_FROZEN = -17.0
+# sweeps between tests of whether every spin of every read is frozen
+_FROZEN_EVERY = 16
+
+
 def _log_thresholds(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill the float32 array ``out`` with minus Exp(1) draws, ``log(1 - u)``.
 
-    ``u`` is a float32 uniform on [0, 1), so ``1 - u`` is at least 2^-24 and
-    the log is finite.  A uniform and a log cost less here than numpy's
-    float32 exponential sampler.
+    ``u`` is numpy's float32 uniform, ``(w >> 8) * 2^-24`` for each 32-bit
+    half ``w`` that PCG64 hands out, low half of a word first.  So ``1 - u``
+    is ``(2^24 - (w >> 8)) * 2^-24``, an integer of at most 24 bits times a
+    power of two: exact in float32, and at least 2^-24, so the log is
+    finite.  The halves are cut from the generator's raw 64-bit words,
+    which costs less than ``Generator.random``.  A half that an earlier
+    draw left buffered comes first, and an odd count leaves one buffered,
+    so ``out`` and the generator's stream match ``log(1 - rng.random(
+    dtype=float32))`` draw for draw.  A uniform and a log cost less here
+    than numpy's float32 exponential sampler.
     """
-    rng.random(out=out, dtype=np.float32)
-    np.subtract(1.0, out, out=out)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError("thresholds are cut from the 32-bit halves of PCG64 words")
+    state = bitgen.state
+    first = state["has_uint32"]
+    words = bitgen.random_raw((out.size - first + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")    # low half first
+    if first:
+        halves = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), halves))
+    left = halves.size - out.size       # 1 if a half is left for the next draw
+    if first or left:
+        state = bitgen.state
+        state["has_uint32"] = left
+        if left:
+            state["uinteger"] = int(halves[-1])
+        bitgen.state = state
+    halves = halves[:out.size]
+    halves >>= 8
+    ints = halves.view("<i4")
+    np.subtract(1 << 24, ints, out=ints)
+    np.copyto(out, ints.reshape(out.shape))
+    out *= np.float32(2.0 ** -24)
     np.log(out, out=out)
 
 
@@ -706,32 +760,66 @@ def _anneal(w: np.ndarray, bounds: np.ndarray, betas: np.ndarray,
     sweep draws one threshold per spin and read and visits the classes in
     order.  A spin flips when ``beta * dE < E`` with ``E ~ Exp(1)``, the law
     of ``u < exp(-beta * max(dE, 0))``; with ``s = 2x - 1`` the flip costs
-    ``dE = -s F``, so the test reads ``-E < beta * s F``.  Spins of one class
-    share no coupling, so their fields stay put while the class flips, and
-    the flips then move the fields of the class's neighbours only.  Returns
-    the number of accepted flips per sweep.
+    ``dE = -s F``, so the test reads ``-E < beta * s F``.  During the sweeps
+    ``X`` holds ``s`` itself, as ±1, so ``s F`` is ``±F`` exactly, and a flip
+    negates it in place; the states go back to 0/1 at the end, exactly.
+    Spins of one class share no coupling, so their fields stay put while the
+    class flips, and the flips then move the fields of the class's
+    neighbours only.  The class loop allocates nothing after set-up.
+
+    Every threshold is at least ``log(2^-24)``, above ``_FROZEN``.  So once
+    ``beta * s F <= _FROZEN`` for every spin and read at the start of a
+    sweep, nothing flips in it and nothing moves; while no later ``beta`` is
+    smaller, ``beta * s F`` can only fall, so no later sweep flips either.
+    The run tests this every ``_FROZEN_EVERY`` sweeps and stops there,
+    leaving ``rng`` where it stopped.  Returns the number of accepted flips
+    per sweep: 0 for the sweeps not run, as they would have counted.
     """
+    S = X
+    S *= 2.0
+    S -= 1.0
     thresholds = np.empty_like(X)
     classes = []
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         nbr = np.flatnonzero(w[:, lo:hi].any(axis=1))
-        classes.append((slice(lo, hi), nbr, w[nbr, lo:hi],
-                        np.empty_like(X[lo:hi]), np.empty(X[lo:hi].shape, dtype=bool)))
+        dF = np.empty_like(F[nbr])
+        # the neighbour rows in runs of consecutive rows, so that the update
+        # subtracts in place, one slice of F per run
+        starts = np.flatnonzero(np.diff(nbr, prepend=-2) > 1).tolist()
+        runs = [(F[nbr[a]:nbr[b - 1] + 1], dF[a:b])
+                for a, b in zip(starts, starts[1:] + [len(nbr)])]
+        classes.append((S[lo:hi], F[lo:hi], thresholds[lo:hi], w[nbr, lo:hi], dF, runs,
+                        np.empty_like(S[lo:hi]), np.empty(S[lo:hi].shape, dtype=bool)))
     accepted = np.zeros(len(betas), dtype=np.int64)
+    lowest_ahead = np.minimum.accumulate(betas[::-1])[::-1]
     for t, beta in enumerate(betas):
+        if t % _FROZEN_EVERY == 0 and 0 < beta <= lowest_ahead[t]:
+            # the threshold buffer serves as scratch before it is filled
+            np.multiply(S, F, out=thresholds)
+            thresholds *= beta
+            if thresholds.max() <= _FROZEN:
+                break
         _log_thresholds(rng, thresholds)
         total = 0
-        for c, nbr, block, s, flip in classes:
-            np.multiply(X[c], 2.0, out=s)
-            s -= 1.0
-            np.less(thresholds[c], beta * (s * F[c]), out=flip)
+        for s, f, threshold, block, dF, runs, d, flip in classes:
+            np.multiply(s, f, out=d)
+            d *= beta
+            np.less(threshold, d, out=flip)
             flips = np.count_nonzero(flip)
             if flips:       # cold sweeps often flip nothing in a class
-                s *= flip   # -1 for a flip to 1, +1 for a flip to 0
-                X[c] -= s
-                F[nbr] -= block @ s
+                np.copyto(d, flip)
+                d *= s          # s of a flipped spin, else 0
+                s -= d
+                s -= d
+                # neighbour rows only: a product over all rows can round
+                # differently (BLAS groups rows by position)
+                np.matmul(block, d, out=dF)
+                for f_run, dF_run in runs:
+                    f_run -= dF_run
                 total += flips
         accepted[t] = total
+    S += 1.0
+    S *= 0.5
     return accepted
 
 

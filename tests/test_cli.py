@@ -19,6 +19,7 @@ from flowqubo import (
     load_default_ds_space,
     load_default_il_space,
 )
+from flowqubo import solvers
 from flowqubo.cli import main
 
 
@@ -158,6 +159,17 @@ def test_solve_sa_invalid_reads_exits_2(tmp_path, capsys):
     assert not (tmp_path / "samples.json").exists()
 
 
+def test_solve_sa_refuses_reads_or_sweeps_beyond_its_memory_limit(tmp_path, capsys):
+    # il's QUBO has 53 variables; the call is refused before the start draw
+    # allocates, so the run stays small
+    for option, value in (("--reads", solvers._SA_LIMIT // 53 + 1),
+                          ("--sweeps", solvers._SA_LIMIT)):
+        assert main(["solve", "--case", "il", "--solver", "sa", "--seed", "1",
+                     option, str(value), "--out", str(tmp_path)]) == 2
+        assert "limit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tau_is_null_unless_requested(tmp_path, tiny_space_file):
     argv = ["solve", "--case", "il", "--params", tiny_space_file,
             "--solver", "sa", "--seed", "3", "--reads", "20", "--sweeps", "30"]
@@ -252,6 +264,24 @@ def test_report_against_an_annealer_reference_ranks_its_feasible_set(tmp_path):
     div = json.loads((out_report / "diversity.json").read_text())
     assert coverage == f"{div['found_count']}/{div['total']}"
     assert div["found_ranks"] == list(range(1, div["total"] + 1))
+
+
+def test_report_refuses_a_foreign_configuration_before_writing(tmp_path, capsys):
+    # the reference keeps one of ds's 36 feasible configurations, so the
+    # oracle's other 35 are foreign to it
+    out_oracle = tmp_path / "oracle"
+    assert main(["solve", "--case", "ds", "--solver", "oracle",
+                 "--out", str(out_oracle)]) == 0
+    oracle = SampleSet.load(out_oracle / "samples.json")
+    reference = tmp_path / "reference.json"
+    SampleSet.build(oracle.records[:1], oracle.solver).save(reference)
+    out_report = tmp_path / "report"
+    for target in ("opt", "both"):
+        assert main(["report", "--samples", str(out_oracle / "samples.json"),
+                     "--reference", str(reference), "--target", target,
+                     "--case", "ds", "--out", str(out_report)]) == 2
+        assert "missing from the reference" in capsys.readouterr().err
+        assert not out_report.exists() or list(out_report.iterdir()) == []
 
 
 def test_report_validation(tmp_path, capsys):

@@ -51,3 +51,14 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     layers.instrument(types.SimpleNamespace(**{
         name: importlib.import_module(f"flowqubo.{name}")
         for name in ("cli", "flowsheets", "metrics", "reformulate", "solvers")}))
+
+
+def test_readme_library_example_runs(capsys):
+    """The python block under "Library in one minute" runs as written and
+    prints what its comments say; its seeded annealer run pins the kernel's
+    public result."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library in one minute\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["26.0", "26.0 True"]

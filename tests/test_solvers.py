@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from flowqubo import (
     Constraint,
     EnergyMismatchError,
     ExhaustiveLimitError,
+    ModelError,
     QuboModel,
     SampleFormatError,
     SampleRecord,
@@ -679,6 +681,196 @@ def test_sa_finds_brute_force_minimum_on_small_qubos(seed):
     ss = simulated_annealing(qubo, SaParams(num_reads=64, num_sweeps=200, seed=seed))
     assert ss.best().energy == brute_force(qubo).best().energy
     assert ss.num_reads == 64
+
+
+def _reference_log_thresholds(rng, out):
+    """The thresholds by ``Generator.random``, which ``_log_thresholds`` must reproduce."""
+    rng.random(out=out, dtype=np.float32)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+
+
+def _reference_anneal(w, bounds, betas, X, F, rng):
+    """The class kernel in its plain form: 0/1 states, ``s`` rebuilt per
+    class, neighbour rows updated by fancy index, every sweep run."""
+    thresholds = np.empty_like(X)
+    classes = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        nbr = np.flatnonzero(w[:, lo:hi].any(axis=1))
+        classes.append((slice(lo, hi), nbr, w[nbr, lo:hi],
+                        np.empty_like(X[lo:hi]), np.empty(X[lo:hi].shape, dtype=bool)))
+    accepted = np.zeros(len(betas), dtype=np.int64)
+    for t, beta in enumerate(betas):
+        _reference_log_thresholds(rng, thresholds)
+        total = 0
+        for c, nbr, block, s, flip in classes:
+            np.multiply(X[c], 2.0, out=s)
+            s -= 1.0
+            np.less(thresholds[c], beta * (s * F[c]), out=flip)
+            flips = np.count_nonzero(flip)
+            if flips:
+                s *= flip
+                X[c] -= s
+                F[nbr] -= block @ s
+                total += flips
+        accepted[t] = total
+    return accepted
+
+
+def _float_qubo(n, density, seed):
+    """A random QUBO with non-integer coefficients, whose float32 sums round."""
+    rng = np.random.default_rng(seed)
+    terms = {(i, i): rng.uniform(-10.0, 10.0) for i in range(n)}
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            terms[i, j] = rng.uniform(-10.0, 10.0)
+    return QuboModel.from_terms(n, terms)
+
+
+float_qubos = st.builds(_float_qubo, st.integers(1, 12), st.sampled_from((0.1, 0.4, 0.7, 1.0)),
+                        st.integers(0, 2 ** 32 - 1))
+
+
+def _schedule(qubo, sweeps, cold=1.0):
+    """The default float32 schedule, with ``beta_cold`` scaled by ``cold``."""
+    hot, cold_beta = derived_beta_schedule(qubo)
+    return np.geomspace(hot, cold * cold_beta, num=sweeps).astype(np.float32)
+
+
+def _both_kernels(qubo, reads, betas, seed):
+    """The kernel and the reference from one start, as ``simulated_annealing``
+    sets it up: the start draw and the thresholds share one generator, so an
+    odd ``n * reads`` starts the sweeps with a buffered half."""
+    h, w = qubo.fields()
+    order, bounds = _colour_classes(w)
+    h = h[order].astype(np.float32)
+    w = w[np.ix_(order, order)].astype(np.float32)
+    runs = []
+    for kernel in (_anneal, _reference_anneal):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 2, size=(qubo.num_vars, reads)).astype(np.float32)
+        F = h[:, None] + w @ X
+        runs.append((X, F, kernel(w, bounds, betas, X, F, rng)))
+    return runs
+
+
+def _assert_same_runs(runs):
+    (X, F, accepted), (X_ref, F_ref, accepted_ref) = runs
+    assert X.tobytes() == X_ref.tobytes()
+    assert np.array_equal(F, F_ref)
+    assert accepted.tolist() == accepted_ref.tolist()
+
+
+@given(float_qubos, st.integers(1, 40), st.integers(1, 60),
+       st.sampled_from((1.0, 30.0)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+@example(QuboModel.from_terms(1, {(0, 0): -0.3}), 1, 5, 1.0, 0)
+@example(QuboModel.from_terms(3, {(0, 0): 0.7, (0, 1): -1.1, (1, 2): 2.3}), 5, 9, 1.0, 1)
+# one read makes the field update a matrix-vector product; a full-height one
+# rounded a row of this QUBO differently from the neighbour-rows product
+@example(_float_qubo(12, 0.1, 15), 1, 1, 1.0, 0)
+def test_anneal_kernel_matches_the_reference_bit_for_bit(qubo, reads, sweeps, cold, seed):
+    _assert_same_runs(_both_kernels(qubo, reads, _schedule(qubo, sweeps, cold), seed))
+
+
+def _counting_thresholds(monkeypatch):
+    calls = []
+
+    def counting(rng, out):
+        calls.append(out.size)
+        _log_thresholds(rng, out)
+
+    monkeypatch.setattr(solvers, "_log_thresholds", counting)
+    return calls
+
+
+# no local field of this QUBO is below 0.049 in size, so near beta_cold x 100
+# every read sits in a local minimum that no threshold can leave
+_FREEZING = QuboModel.from_terms(4, {(0, 0): -0.7, (1, 1): 1.3, (2, 2): -0.45,
+                                     (3, 3): 0.6, (0, 1): 0.35, (1, 2): -1.6,
+                                     (2, 3): 2.1})
+
+
+def test_anneal_stops_once_frozen_and_matches_the_full_run(monkeypatch):
+    calls = _counting_thresholds(monkeypatch)
+    runs = _both_kernels(_FREEZING, reads=33, betas=_schedule(_FREEZING, 300, 100.0), seed=3)
+    assert 0 < len(calls) < 300
+    assert len(calls) % solvers._FROZEN_EVERY == 0
+    assert runs[0][2][len(calls):].sum() == 0
+    _assert_same_runs(runs)
+
+
+def test_anneal_does_not_stop_before_a_hotter_sweep(monkeypatch):
+    # frozen at the end of the first cold run, then heated again
+    betas = _schedule(_FREEZING, 300, 100.0)
+    calls = _counting_thresholds(monkeypatch)
+    runs = _both_kernels(_FREEZING, reads=33, betas=np.concatenate((betas, betas)), seed=3)
+    assert 300 < len(calls) < 600
+    assert runs[0][2][300:].sum() > 0
+    _assert_same_runs(runs)
+
+
+def test_sa_stops_early_on_ds_with_the_full_runs_samples(ds_reform, monkeypatch):
+    params = SaParams(seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_anneal", _reference_anneal)
+        full = simulated_annealing(ds_reform.qubo, params)
+    calls = _counting_thresholds(monkeypatch)
+    early = simulated_annealing(ds_reform.qubo, params)
+    assert len(calls) < params.num_sweeps
+    assert early.records == full.records
+    assert early.metadata == full.metadata
+
+
+@given(st.integers(0, 9), st.lists(st.integers(0, 9), max_size=5),
+       st.lists(st.integers(1, 9), min_size=1, max_size=2), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(3, [1, 4, 2], [3, 5], 0)
+def test_log_thresholds_match_the_generators_float32_uniforms(start, sizes, shape, seed):
+    """Consecutive calls of odd and even sizes, after a start draw that may
+    leave a half buffered, give ``log(1 - random(dtype=float32))`` and leave
+    the generator where ``random`` leaves its twin."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(rng.integers(0, 2, size=start), twin.integers(0, 2, size=start))
+    for size in sizes + [tuple(shape)]:
+        out = np.empty(size, dtype=np.float32)
+        _log_thresholds(rng, out)
+        expected = np.log(1 - twin.random(size, dtype=np.float32))
+        assert out.tobytes() == expected.tobytes()
+        assert (rng.bit_generator.state["has_uint32"]
+                == twin.bit_generator.state["has_uint32"])
+    assert np.array_equal(rng.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                          twin.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+    assert rng.random() == twin.random()
+
+
+def test_log_thresholds_need_pcg64():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError):
+        _log_thresholds(rng, np.empty(4, dtype=np.float32))
+
+
+def test_sa_refuses_a_call_too_large_to_hold():
+    qubo = QuboModel.from_terms(53, {(i, i): 1.0 for i in range(53)})
+    tracemalloc.start()
+    try:
+        for params in (SaParams(num_reads=solvers._SA_LIMIT // 53 + 1),
+                       SaParams(num_reads=1, num_sweeps=solvers._SA_LIMIT)):
+            with pytest.raises(ModelError, match="limit"):
+                simulated_annealing(qubo, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_sa_limit_counts_variables_times_reads_plus_sweeps(monkeypatch):
+    monkeypatch.setattr(solvers, "_SA_LIMIT", 2 * 5 + 2)
+    qubo = _tiny_qubo()
+    assert simulated_annealing(qubo, SaParams(num_reads=5, num_sweeps=2)).num_reads == 5
+    for reads, sweeps in ((6, 2), (5, 3)):
+        with pytest.raises(ModelError):
+            simulated_annealing(qubo, SaParams(num_reads=reads, num_sweeps=sweeps))
 
 
 # -- branch and bound ----------------------------------------------------------
