@@ -91,17 +91,21 @@ class IlDesignSpace:
             raise ModelError("need at least one cation and one anion")
         if len(set(units)) != len(units):
             raise ModelError("duplicate unit names")
-        for table, owner in ((self.c_fixed, units),
-                             (self.c_oper_reactor, self.reactors),
-                             (self.c_oper_separator, self.separators),
-                             (self.c_invest, units),
-                             (self.c_energy, self.separators),
-                             (self.alpha, self.reactors),
-                             (self.f_lower, units),
-                             (self.f_upper, units)):
+        for name, owner in (("c_fixed", units),
+                            ("c_oper_reactor", self.reactors),
+                            ("c_oper_separator", self.separators),
+                            ("c_invest", units),
+                            ("c_energy", self.separators),
+                            ("alpha", self.reactors),
+                            ("f_lower", units),
+                            ("f_upper", units)):
+            table = getattr(self, name)
             missing = set(owner) - set(table)
             if missing:
                 raise ModelError(f"missing coefficients for {sorted(missing)}")
+            for u in owner:
+                if not math.isfinite(table[u]):
+                    raise ModelError(f"{name}[{u}] must be finite")
         for r in self.reactors:
             if not 0.0 < self.alpha[r] <= 1.0:
                 raise ModelError(f"alpha[{r}] must lie in (0, 1]")
@@ -118,8 +122,8 @@ class IlDesignSpace:
         for u in units:
             if not 0.0 <= self.f_lower[u] <= self.f_upper[u]:
                 raise ModelError(f"need 0 <= f_lower <= f_upper for unit {u}")
-        if not self.demand > 0.0:
-            raise ModelError("demand must be positive")
+        if not 0.0 < self.demand < math.inf:
+            raise ModelError("demand must be positive and finite")
 
     def to_json_dict(self) -> dict:
         return {
@@ -467,47 +471,58 @@ def pattern_search(
     rng = np.random.default_rng(seed)
     # the poll loop works on Python floats; func still gets a fresh ndarray
     lo, hi = lb.tolist(), ub.tolist()
-    dim = len(lo)
+    coords = range(len(lo))
+    array = np.array
     evals = 0
     best_val = math.inf
     best_x: np.ndarray | None = None
 
     limit = math.inf if budget is None else budget
 
-    def evaluate(point: list[float]) -> float:
-        nonlocal evals, best_val, best_x
-        if evals >= limit:
-            raise _BudgetSpent
-        arr = np.array(point)
-        value = float(func(arr))
-        evals += 1
-        if value < best_val:
-            best_val = value
-            best_x = arr.copy()
-        return value
-
+    # each evaluation is written out inline: budget check, a fresh ndarray,
+    # the count, then the best point so far as a copy of what func was given
     try:
         for start_index in range(starts):
             xs = ((lb + ub) / 2.0 if start_index == 0
                   else rng.uniform(lb, ub)).tolist()
-            fx = evaluate(xs)
+            if evals >= limit:
+                raise _BudgetSpent
+            point = array(xs)
+            fx = float(func(point))
+            evals += 1
+            if fx < best_val:
+                best_val, best_x = fx, point.copy()
             step = [_INITIAL_STEP_FRAC * (u - l) for l, u in zip(lo, hi)]
             while True:
                 accepted = False
-                for i in range(dim):
-                    for sgn in (1.0, -1.0):
-                        cand_i = min(max(xs[i] + sgn * step[i], lo[i]), hi[i])
-                        if cand_i == xs[i]:
+                for i in coords:
+                    xi, lo_i, hi_i = xs[i], lo[i], hi[i]
+                    for delta in (step[i], -step[i]):
+                        # min(max(xi + delta, lo_i), hi_i), comparison for comparison
+                        cand_i = xi + delta
+                        if lo_i > cand_i:
+                            cand_i = lo_i
+                        if hi_i < cand_i:
+                            cand_i = hi_i
+                        if cand_i == xi:
                             continue
-                        cand = xs.copy()
-                        cand[i] = cand_i
-                        fc = evaluate(cand)
+                        if evals >= limit:
+                            raise _BudgetSpent
+                        # xs is the poll's own list: the candidate is written
+                        # into it and taken back out unless it is accepted
+                        xs[i] = cand_i
+                        point = array(xs)
+                        fc = float(func(point))
+                        evals += 1
+                        if fc < best_val:
+                            best_val, best_x = fc, point.copy()
                         if fc < fx:
-                            xs, fx = cand, fc
+                            fx = fc
                             accepted = True
                             break
                     if accepted:
                         break
+                    xs[i] = xi
                 if accepted:
                     continue
                 if max(step) < _STOP_MESH:
@@ -552,13 +567,15 @@ def _parse_selection(space: IlDesignSpace, fixed) -> tuple[list, list, str, str]
 
 
 class _IlFlowTables:
-    """One il configuration compiled into flat lists of Python floats.
+    """One il configuration compiled into its evaluator.
 
     Search variables are the reactor-to-separator transfers, one per
     (selected reactor, selected separator) pair in that order; reactor feeds
-    and separator intakes follow from them.  ``evaluate`` is the
-    :class:`BlackBoxObjective` evaluator of the configuration and works on
-    Python floats only; ``throughputs`` gives the feeds and intakes it uses.
+    and separator intakes follow from them.  Every unit has a slot in one
+    ``levels`` list, reactors then separators.  ``evaluate`` is the
+    :class:`BlackBoxObjective` evaluator of the configuration: a closure
+    over flat tuples of Python floats, built once, that calls no helper.
+    ``throughputs`` gives the feeds and intakes it uses.
     """
 
     tol = 1e-9
@@ -566,52 +583,66 @@ class _IlFlowTables:
     def __init__(self, space: IlDesignSpace, fixed) -> None:
         sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
         tol = self.tol
+        units = sel_r + sel_s
+        n_r = len(sel_r)
         self.sel_r, self.sel_s = sel_r, sel_s
         self.pairs = [(r, s) for r in sel_r for s in sel_s]
         self.bounds = tuple(
             (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
             for r, s in self.pairs)
-        # per pair: (reactor index, separator index, conversion)
-        self.pair_rows = [(i, j, space.alpha[r])
-                          for i, r in enumerate(sel_r)
-                          for j in range(len(sel_s))]
-        # per unit, reactors then separators: a throughput is inadmissible
-        # above ``upper`` and strictly between the zero level and ``lower``
-        self.upper = [space.f_upper[u] + tol for u in sel_r + sel_s]
-        self.lower = [space.f_lower[u] - tol for u in sel_r + sel_s]
         self.beta = [space.beta[s][cation][anion] for s in sel_s]
-        self.invest_r = [space.c_invest[r] for r in sel_r]
-        self.invest_s = [space.c_invest[s] for s in sel_s]
-        self.energy_s = [space.c_energy[s] for s in sel_s]
-        self.fixed_cost = sum(space.c_fixed[u] for u in sel_r + sel_s)
-        self.min_recovered = space.demand - tol
+        # per transfer: reactor slot, separator slot, conversion
+        transfers = self._transfers = tuple(
+            (i, n_r + j, space.alpha[r])
+            for i, r in enumerate(sel_r) for j in range(len(sel_s)))
+        # per unit: a throughput is inadmissible above ``upper`` and strictly
+        # between the zero level and ``lower``
+        windows = tuple((k, space.f_upper[u] + tol, space.f_lower[u] - tol)
+                        for k, u in enumerate(units))
+        invest_r = tuple(space.c_invest[r] for r in sel_r)
+        # per separator: slot, recovery, investment, energy
+        separators = tuple(
+            (n_r + j, b, space.c_invest[s], space.c_energy[s])
+            for j, (s, b) in enumerate(zip(sel_s, self.beta)))
+        zeros = self._zeros = [0.0] * len(units)
+        fixed_cost = sum(space.c_fixed[u] for u in units)
+        min_recovered = space.demand - tol
+        inf = math.inf
+
+        def evaluate(_fixed, x: np.ndarray) -> tuple[float, str]:
+            xs = x.tolist()
+            if min(xs) < 0.0:
+                return inf, "negative flow"
+            levels = zeros.copy()
+            for (r, s, alpha), v in zip(transfers, xs):
+                levels[r] += v / alpha
+                levels[s] += v
+            for k, up, lo in windows:
+                f = levels[k]
+                if f > up or (f > tol and f < lo):
+                    return inf, "throughput outside its window"
+            recovered = 0
+            for k, b, _, _ in separators:
+                recovered += b * levels[k]
+            if recovered < min_recovered:
+                return inf, "demand shortfall"
+            value = fixed_cost
+            for c, f in zip(invest_r, levels):
+                value += c * f ** 0.6
+            for k, _, c, e in separators:
+                f = levels[k]
+                value += c * f ** 0.6 + e * f
+            return value, "ok"
+
+        self.evaluate = evaluate
 
     def throughputs(self, xs: Sequence[float]) -> tuple[list, list]:
-        feed = [0.0] * len(self.sel_r)
-        intake = [0.0] * len(self.sel_s)
-        for (i, j, alpha), v in zip(self.pair_rows, xs):
-            feed[i] += v / alpha
-            intake[j] += v
-        return feed, intake
-
-    def evaluate(self, _fixed, x: np.ndarray) -> tuple[float, str]:
-        xs = x.tolist()
-        tol = self.tol
-        if min(xs) < 0.0:
-            return math.inf, "negative flow"
-        feed, intake = self.throughputs(xs)
-        for f, up, lo in zip(feed + intake, self.upper, self.lower):
-            if f > up or (f > tol and f < lo):
-                return math.inf, "throughput outside its window"
-        recovered = sum(b * f for b, f in zip(self.beta, intake))
-        if recovered < self.min_recovered:
-            return math.inf, "demand shortfall"
-        value = self.fixed_cost
-        for c, f in zip(self.invest_r, feed):
-            value += c * f ** 0.6
-        for c, e, f in zip(self.invest_s, self.energy_s, intake):
-            value += c * f ** 0.6 + e * f
-        return value, "ok"
+        levels = self._zeros.copy()
+        for (r, s, alpha), v in zip(self._transfers, xs):
+            levels[r] += v / alpha
+            levels[s] += v
+        n_r = len(self.sel_r)
+        return levels[:n_r], levels[n_r:]
 
 
 def il_continuous_solve(
@@ -675,10 +706,11 @@ def run_blackbox(objective: BlackBoxObjective, fixed, seed=None, *,
     ``last_failure`` is ``(params, status)`` of the last barred point.
     """
     last_x = last_status = None
+    evaluate = objective.evaluate
 
     def barrier(x: np.ndarray) -> float:
         nonlocal last_x, last_status
-        score, status = objective.evaluate(fixed, x)
+        score, status = evaluate(fixed, x)
         if status != "ok":
             last_x, last_status = x, status
             return math.inf

@@ -276,6 +276,18 @@ def test_default_ds_space_shape(ds_space):
     {"demand": 0.0},
     {"c_energy": {}},
     {"separators": ()},
+    # non-finite coefficients; an infinite window or a nan cost used to pass
+    {"f_upper": {"R1": math.inf, "S1": 16.0}},
+    {"c_invest": {"R1": 0.5, "S1": math.nan}},
+    {"c_fixed": {"R1": -math.inf, "S1": 1.0}},
+    {"c_oper_reactor": {"R1": math.nan}},
+    {"c_oper_separator": {"S1": math.inf}},
+    {"c_energy": {"S1": math.nan}},
+    {"alpha": {"R1": math.nan}},
+    {"beta": {"S1": {"c1": {"a1": math.nan}}}},
+    {"f_lower": {"R1": math.nan, "S1": 1.0}},
+    {"demand": math.inf},
+    {"demand": math.nan},
 ])
 def test_il_space_validation(overrides):
     with pytest.raises(ModelError):
@@ -462,9 +474,9 @@ def test_pattern_search_respects_bounds():
 
 
 @st.composite
-def _boxes(draw):
+def _boxes(draw, max_dim=6):
     bounds = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_dim))):
         lower = draw(st.floats(-5.0, 5.0))
         width = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
         bounds.append((lower, lower + width))
@@ -504,6 +516,40 @@ def test_pattern_search_matches_the_numpy_poll_loop(bounds, seed, starts,
     assert (None if best_x is None else best_x.tolist()) == \
         (None if ref_x is None else ref_x.tolist())
     assert (best_val, evals) == (ref_val, ref_evals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=_boxes(max_dim=3), seed=st.integers(0, 2**32 - 1),
+       starts=st.integers(1, 4), budget=st.integers(1, 300),
+       cap=st.floats(-10.0, 30.0))
+def test_pattern_search_never_changes_an_evaluated_point(bounds, seed, starts,
+                                                         budget, cap):
+    def barred(x):
+        return x.sum() > cap
+
+    calls = []
+
+    def f(x):
+        calls.append((x, x.copy()))
+        return math.inf if barred(x) else float((x ** 2).sum())
+
+    pattern_search(f, bounds, seed=seed, starts=starts, budget=budget)
+    # every call got its own array, and none was written to afterwards
+    assert len({id(x) for x, _ in calls}) == len(calls)
+    for x, at_call in calls:
+        assert x.tobytes() == at_call.tobytes()
+
+    failures = []
+
+    def evaluate(_fixed, x):
+        if barred(x):
+            failures.append(tuple(float(v) for v in x))
+            return 0.0, "barred"
+        return float((x ** 2).sum()), "ok"
+
+    out = run_blackbox(BlackBoxObjective(evaluate, tuple(bounds), budget), {},
+                       seed, starts=starts)
+    assert out["last_failure"] == ((failures[-1], "barred") if failures else None)
 
 
 # -- continuous stage ----------------------------------------------------------
@@ -571,6 +617,23 @@ def test_il_continuous_solve_matches_the_reference_on_the_default_space(il_space
                                                      seed=seed, starts=4)
 
 
+
+
+def test_sweep_matches_the_reference_on_the_default_space(il_space):
+    # all 84 configurations, with 1, 2, 3, 4 or 6 transfers each
+    rows = sweep_il(il_space, seed=1, starts=2)
+    assert len(rows) == 84
+    transfers = set()
+    for pos, row in enumerate(rows):
+        bits = tuple(int(b) for b in row["config_id"])
+        sel_r, sel_s, _, _ = _parse_selection(il_space, bits)
+        transfers.add(len(sel_r) * len(sel_s))
+        ref = _reference_il_continuous_solve(
+            il_space, bits, starts=2,
+            seed=np.random.SeedSequence(entropy=1, spawn_key=(pos,)))
+        assert (row["continuous_objective"], row["status"], row["evaluations"]) == \
+            (ref["objective"], ref["status"], ref["evaluations"])
+    assert transfers == {1, 2, 3, 4, 6}
 
 
 def test_continuous_single_path_matches_closed_form():
