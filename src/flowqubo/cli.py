@@ -276,7 +276,8 @@ def _cmd_sweep(args) -> int:
         outdir, command="sweep", case=args.case, params=args.params,
         seed=seed, budget=args.budget, starts=args.starts,
     )
-    print(f"configurations: {len(rows)}  on pareto front: {len(front)}")
+    print(f"configurations: {len(rows)}  on pareto front: {len(front)}  "
+          f"pattern-search evaluations: {sum(row['evaluations'] for row in rows)}")
     for p in front:
         print(f"  {p.config_id}  discrete={p.discrete_objective:g}  "
               f"continuous={p.continuous_objective:g}")

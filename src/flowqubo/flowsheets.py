@@ -57,6 +57,16 @@ __all__ = [
 # -- design spaces -------------------------------------------------------------
 
 
+def _require_finite(field: str, value) -> None:
+    """Refuse a coefficient that is not a finite real number."""
+    try:
+        if math.isfinite(value):
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise ModelError(f"{field} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IlDesignSpace:
     """Unit inventory and coefficients for the ionic-liquid process.
@@ -104,8 +114,7 @@ class IlDesignSpace:
             if missing:
                 raise ModelError(f"missing coefficients for {sorted(missing)}")
             for u in owner:
-                if not math.isfinite(table[u]):
-                    raise ModelError(f"{name}[{u}] must be finite")
+                _require_finite(f"{name}[{u}]", table[u])
         for r in self.reactors:
             if not 0.0 < self.alpha[r] <= 1.0:
                 raise ModelError(f"alpha[{r}] must lie in (0, 1]")
@@ -117,13 +126,15 @@ class IlDesignSpace:
                     except KeyError as exc:
                         raise ModelError(
                             f"missing beta[{s}][{c}][{a}]") from exc
+                    _require_finite(f"beta[{s}][{c}][{a}]", b)
                     if not 0.0 <= b <= 1.0:
                         raise ModelError(f"beta[{s}][{c}][{a}] must lie in [0, 1]")
         for u in units:
             if not 0.0 <= self.f_lower[u] <= self.f_upper[u]:
                 raise ModelError(f"need 0 <= f_lower <= f_upper for unit {u}")
-        if not 0.0 < self.demand < math.inf:
-            raise ModelError("demand must be positive and finite")
+        _require_finite("demand", self.demand)
+        if not self.demand > 0.0:
+            raise ModelError("demand must be positive")
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,10 +433,15 @@ def build_ds_discrete(space: DsDesignSpace) -> BinaryProgram:
 
 # Pattern-search constants: the first step of each start is a quarter of every
 # box side, a failed poll halves the steps, and a start ends once the largest
-# step is below 1e-6.
+# step is below 1e-6.  A start whose value is above the best found so far
+# ends at the failed poll after its steps have been halved 12 times.  Over
+# default-space sweeps at seeds 0-19 that raised no continuous objective by
+# more than 3.3e-8 relative to refining every start; 10 or 11 halvings raised
+# one by 5.3e-5 or 2.7e-5.
 _INITIAL_STEP_FRAC = 0.25
 _SHRINK = 0.5
 _STOP_MESH = 1e-6
+_COARSE_SHRINKS = 12
 
 
 class _BudgetSpent(Exception):
@@ -447,12 +463,21 @@ def pattern_search(
     begins with steps of ``_INITIAL_STEP_FRAC`` times the box sides.  Polling
     visits coordinates in order, +step before -step, and accepts the first
     strict improvement; a failed poll multiplies the steps by ``_SHRINK``
-    until the largest drops below ``_STOP_MESH``.  Candidates are clipped to
-    the box and skipped when the clip lands back on the current point.  An
-    evaluated point is never modified afterwards.  With a budget, evaluation
-    number ``budget`` is the last one; the evaluation sequence for a larger
-    budget extends the one for a smaller, so more budget never worsens the
-    result.  ``starts`` and ``budget`` must be at least 1.
+    until the largest drops below ``_STOP_MESH``.  Only the start holding the
+    best point refines that far: once a start's steps have been halved
+    ``_COARSE_SHRINKS`` times, a failed poll ends it if its value is above
+    the best found so far.  The first start therefore always runs to
+    ``_STOP_MESH`` (a one-start search is the full refinement), each later
+    start evaluates a prefix of its full refinement, and a start ends early
+    only once a finite value exists, so the stop never turns a feasible
+    search infeasible.  Without a budget the best value can only rise, by
+    the little a stopped start would still have gained; with one, the
+    evaluations saved go to later starts.  Candidates are clipped to the box and skipped when
+    the clip lands back on the current point.  An evaluated point is never
+    modified afterwards.  With a budget, evaluation number ``budget`` is the
+    last one; the evaluation sequence for a larger budget extends the one for
+    a smaller, so more budget never worsens the result.  ``starts`` and
+    ``budget`` must be at least 1.
 
     Returns ``(best_x, best_value, evaluations)`` with ``best_x = None``
     when no evaluation returned a finite value.
@@ -493,6 +518,7 @@ def pattern_search(
             if fx < best_val:
                 best_val, best_x = fx, point.copy()
             step = [_INITIAL_STEP_FRAC * (u - l) for l, u in zip(lo, hi)]
+            shrinks = 0
             while True:
                 accepted = False
                 for i in coords:
@@ -527,7 +553,10 @@ def pattern_search(
                     continue
                 if max(step) < _STOP_MESH:
                     break
+                if shrinks == _COARSE_SHRINKS and fx > best_val:
+                    break
                 step = [s * _SHRINK for s in step]
+                shrinks += 1
     except _BudgetSpent:
         pass
     return best_x, best_val, evals

@@ -310,7 +310,9 @@ def test_sweep_seeded_rerun_is_byte_identical(tmp_path, tiny_space_file, capsys)
     assert len(lines) == 2
     assert lines[1].startswith("1111,")
     assert lines[1].endswith(",ok,true")
-    assert "on pareto front: 1" in capsys.readouterr().out
+    # one configuration, whose search spends its whole budget
+    assert "on pareto front: 1  pattern-search evaluations: 80" in \
+        capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value", [

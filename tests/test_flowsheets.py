@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowqubo import (
@@ -20,7 +21,9 @@ from flowqubo import (
     run_blackbox,
     sweep_il,
 )
+from flowqubo import flowsheets
 from flowqubo.flowsheets import (
+    _COARSE_SHRINKS,
     _INITIAL_STEP_FRAC,
     _SHRINK,
     _STOP_MESH,
@@ -54,12 +57,19 @@ _SINGLE_SELECTION = {"y[R1]": 1, "y[S1]": 1, "z[c1]": 1, "z[a1]": 1}
 # -- references: the numpy poll loop and the dict evaluator ---------------------
 
 
-def _reference_pattern_search(func, bounds, *, seed=None, starts=20, budget=None):
-    """The pattern search with its poll scalars held as numpy values."""
+def _reference_pattern_search(func, bounds, *, seed=None, starts=20, budget=None,
+                              full_refinement=False):
+    """The pattern search with its poll scalars held as numpy values.
+
+    A start tracks the factor its steps have shrunk by; at the coarse factor a
+    failed poll ends it unless it holds the best value.  ``full_refinement``
+    drops that stop, so that every start refines down to ``_STOP_MESH``.
+    """
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array([b[1] for b in bounds], dtype=float)
     rng = np.random.default_rng(seed)
     dim = lb.size
+    coarse = np.float64(_SHRINK) ** _COARSE_SHRINKS
     evals = 0
     best_val = math.inf
     best_x = None
@@ -81,6 +91,7 @@ def _reference_pattern_search(func, bounds, *, seed=None, starts=20, budget=None
             x = (lb + ub) / 2.0 if start_index == 0 else rng.uniform(lb, ub)
             fx = evaluate(x)
             step = _INITIAL_STEP_FRAC * (ub - lb)
+            factor = np.float64(1.0)
             while True:
                 accepted = False
                 for i in range(dim):
@@ -101,7 +112,10 @@ def _reference_pattern_search(func, bounds, *, seed=None, starts=20, budget=None
                     continue
                 if step.max() < _STOP_MESH:
                     break
+                if not full_refinement and factor == coarse and fx > best_val:
+                    break
                 step = step * _SHRINK
+                factor = factor * _SHRINK
     except _BudgetSpent:
         pass
     return best_x, best_val, evals
@@ -140,7 +154,11 @@ def _reference_il_model(space, fixed):
             for unit, level in levels.items():
                 if not admissible(level, unit):
                     return math.inf, "throughput outside its window"
-        recovered = sum(beta_s[s] * intake[s] for s in sel_s)
+        # left to right, as the compiled evaluator adds; from Python 3.12 on
+        # ``sum`` compensates float sums and could differ in the last bit
+        recovered = 0
+        for s in sel_s:
+            recovered += beta_s[s] * intake[s]
         if recovered < space.demand - tol:
             return math.inf, "demand shortfall"
         value = fixed_cost
@@ -267,6 +285,16 @@ def test_default_ds_space_shape(ds_space):
     assert ds_space.provenance == "synthetic"
 
 
+# coefficients that are not numbers at all; they used to escape as TypeError
+_NON_NUMBERS = [
+    ({"c_fixed": {"R1": "2", "S1": 1.0}}, r"c_fixed\[R1\]"),
+    ({"alpha": {"R1": None}}, r"alpha\[R1\]"),
+    ({"f_upper": {"R1": 10 ** 400, "S1": 16.0}}, r"f_upper\[R1\]"),
+    ({"beta": {"S1": {"c1": {"a1": "0.5"}}}}, r"beta\[S1\]\[c1\]\[a1\]"),
+    ({"demand": "5"}, "demand"),
+]
+
+
 @pytest.mark.parametrize("overrides", [
     {"alpha": {"R1": 0.0}},
     {"alpha": {"R1": 1.3}},
@@ -288,9 +316,16 @@ def test_default_ds_space_shape(ds_space):
     {"f_lower": {"R1": math.nan, "S1": 1.0}},
     {"demand": math.inf},
     {"demand": math.nan},
+    *(overrides for overrides, _ in _NON_NUMBERS),
 ])
 def test_il_space_validation(overrides):
     with pytest.raises(ModelError):
+        _single_path_space(**overrides)
+
+
+@pytest.mark.parametrize("overrides, field", _NON_NUMBERS)
+def test_il_space_names_a_field_that_is_not_a_number(overrides, field):
+    with pytest.raises(ModelError, match=field):
         _single_path_space(**overrides)
 
 
@@ -483,39 +518,75 @@ def _boxes(draw, max_dim=6):
     return bounds
 
 
+def _traced(target, cap):
+    """A convex target behind a linear cap, and the list of points it saw."""
+    seen = []
+
+    def f(x):
+        assert isinstance(x, np.ndarray)
+        seen.append(x.tolist())
+        if x.sum() > cap:
+            return math.inf
+        return float(((x - target) ** 2).sum())
+
+    return seen, f
+
+
 @settings(max_examples=80, deadline=None)
 @given(bounds=_boxes(), seed=st.integers(0, 2**32 - 1),
        starts=st.integers(1, 4), budget=st.none() | st.integers(1, 400),
-       data=st.data())
+       target=st.lists(st.floats(-6.0, 16.0), min_size=6, max_size=6),
+       cap=st.floats(-20.0, 60.0))
+# several starts, no budget and no cap on a convex target: every later start
+# ends at the coarse mesh
+@example(bounds=[(0.0, 4.0), (-1.0, 1.0)], seed=7, starts=3, budget=None,
+         target=[1.0, 0.25, 0.0, 0.0, 0.0, 0.0], cap=60.0)
 def test_pattern_search_matches_the_numpy_poll_loop(bounds, seed, starts,
-                                                    budget, data):
-    dim = len(bounds)
-    target = data.draw(st.lists(st.floats(-6.0, 16.0), min_size=dim,
-                                max_size=dim))
-    cap = data.draw(st.floats(-20.0, 60.0))
-
-    def traced():
-        seen = []
-
-        def f(x):
-            assert isinstance(x, np.ndarray)
-            seen.append(x.tolist())
-            if x.sum() > cap:
-                return math.inf
-            return float(((x - target) ** 2).sum())
-
-        return seen, f
-
-    seen, f = traced()
+                                                    budget, target, cap):
+    target = target[:len(bounds)]
+    seen, f = _traced(target, cap)
     best_x, best_val, evals = pattern_search(f, bounds, seed=seed,
                                              starts=starts, budget=budget)
-    ref_seen, ref_f = traced()
+    ref_seen, ref_f = _traced(target, cap)
     ref_x, ref_val, ref_evals = _reference_pattern_search(
         ref_f, bounds, seed=seed, starts=starts, budget=budget)
     assert seen == ref_seen
     assert (None if best_x is None else best_x.tolist()) == \
         (None if ref_x is None else ref_x.tolist())
     assert (best_val, evals) == (ref_val, ref_evals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounds=_boxes(max_dim=3), seed=st.integers(0, 2**32 - 1),
+       target=st.lists(st.floats(-6.0, 16.0), min_size=3, max_size=3),
+       cap=st.floats(-20.0, 60.0))
+def test_one_start_refines_down_to_the_stop_mesh(bounds, seed, target, cap):
+    # one start always holds the best point, so it never ends at the coarse
+    # mesh: its evaluations are those of the full refinement
+    target = target[:len(bounds)]
+    seen, f = _traced(target, cap)
+    pattern_search(f, bounds, seed=seed, starts=1)
+    full_seen, full_f = _traced(target, cap)
+    _reference_pattern_search(full_f, bounds, seed=seed, starts=1,
+                              full_refinement=True)
+    assert seen == full_seen
+
+
+def test_later_starts_end_at_the_coarse_mesh():
+    # the @example above: the first start is the whole one-start search in
+    # both, and the later ones spend fewer evaluations for the same optimum
+    bounds, target = [(0.0, 4.0), (-1.0, 1.0)], [1.0, 0.25]
+    first, f = _traced(target, 60.0)
+    pattern_search(f, bounds, seed=7, starts=1)
+    seen, f = _traced(target, 60.0)
+    best_x, best_val, evals = pattern_search(f, bounds, seed=7, starts=3)
+    full_seen, full_f = _traced(target, 60.0)
+    _, full_val, full_evals = _reference_pattern_search(
+        full_f, bounds, seed=7, starts=3, full_refinement=True)
+    assert seen[:len(first)] == full_seen[:len(first)] == first
+    assert len(first) < evals < full_evals
+    assert full_val <= best_val <= 1e-12
+    assert np.allclose(best_x, target, atol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -792,3 +863,21 @@ def test_sweep_rows_carry_the_evaluations_of_their_solves():
             seed=np.random.SeedSequence(entropy=4, spawn_key=(pos,)))
         assert row["evaluations"] == direct["evaluations"] > 0
         assert row["continuous_objective"] == direct["objective"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_keeps_what_the_full_refinement_found(il_space, seed, monkeypatch):
+    # ending the starts that do not hold the best point at the coarse mesh
+    # keeps every status, costs at most 1e-6 relative and saves evaluations
+    rows = sweep_il(il_space, seed=seed)
+    monkeypatch.setattr(flowsheets, "pattern_search", functools.partial(
+        _reference_pattern_search, full_refinement=True))
+    full = sweep_il(il_space, seed=seed)
+    assert [r["config_id"] for r in rows] == [r["config_id"] for r in full]
+    for row, ref in zip(rows, full):
+        assert row["status"] == ref["status"]
+        assert row["evaluations"] <= ref["evaluations"]
+        if ref["status"] == "ok":
+            value, ref_value = row["continuous_objective"], ref["continuous_objective"]
+            assert ref_value <= value <= (1 + 1e-6) * ref_value
+    assert sum(r["evaluations"] for r in rows) < sum(r["evaluations"] for r in full)
