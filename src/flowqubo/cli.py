@@ -156,12 +156,15 @@ def _cmd_solve(args) -> int:
     else:
         if not args.import_file:
             raise ModelError("--import-file is required with --solver import")
-        qubo = None
-        if args.check_energies:
+        reform = reformulate(program, rho=args.rho) if args.check_energies else None
+        samples = import_samples(args.import_file, qubo=reform.qubo if reform else None)
+        if reform is None and any(len(rec.assignment) != program.num_vars
+                                  for rec in samples.records):
             reform = reformulate(program, rho=args.rho)
+        if reform is not None:
+            # QUBO-width reads, their energies checked when asked, decode as sa's do
             rho = reform.rho
-            qubo = reform.qubo
-        samples = import_samples(args.import_file, qubo=qubo)
+            samples = reform.decode_sampleset(samples)
 
     outdir = _out_dir(args)
     samples.save(outdir / "samples.json", include_tau=args.record_tau)

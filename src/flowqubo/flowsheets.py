@@ -595,83 +595,83 @@ def _parse_selection(space: IlDesignSpace, fixed) -> tuple[list, list, str, str]
     return sel_r, sel_s, sel_c[0], sel_a[0]
 
 
-class _IlFlowTables:
-    """One il configuration compiled into its evaluator.
+# a throughput up to this is zero; the windows and the demand are widened by it
+_IL_TOL = 1e-9
+
+
+def _compile_il(space: IlDesignSpace, fixed,
+                budget: int | None) -> tuple[BlackBoxObjective, Callable]:
+    """One il configuration compiled into its objective and ``flows``.
 
     Search variables are the reactor-to-separator transfers, one per
     (selected reactor, selected separator) pair in that order; reactor feeds
     and separator intakes follow from them.  Every unit has a slot in one
-    ``levels`` list, reactors then separators.  ``evaluate`` is the
-    :class:`BlackBoxObjective` evaluator of the configuration: a closure
-    over flat tuples of Python floats, built once, that calls no helper.
-    ``throughputs`` gives the feeds and intakes it uses.
+    ``levels`` list, reactors then separators.  The objective's evaluator is
+    a closure over flat tuples of Python floats, built once, that calls no
+    helper; ``flows(x)`` maps every stream name to its flow at transfers ``x``.
     """
+    sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
+    tol = _IL_TOL
+    units = sel_r + sel_s
+    n_r = len(sel_r)
+    pairs = [(r, s) for r in sel_r for s in sel_s]
+    bounds = tuple(
+        (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
+        for r, s in pairs)
+    # per transfer: reactor slot, separator slot, conversion
+    transfers = tuple(
+        (i, n_r + j, space.alpha[r])
+        for i, r in enumerate(sel_r) for j in range(len(sel_s)))
+    # per unit: a throughput is inadmissible above ``upper`` and strictly
+    # between the zero level and ``lower``
+    windows = tuple((k, space.f_upper[u] + tol, space.f_lower[u] - tol)
+                    for k, u in enumerate(units))
+    invest_r = tuple(space.c_invest[r] for r in sel_r)
+    # per separator: slot, recovery, investment, energy
+    separators = tuple(
+        (n_r + j, space.beta[s][cation][anion], space.c_invest[s], space.c_energy[s])
+        for j, s in enumerate(sel_s))
+    zeros = [0.0] * len(units)
+    fixed_cost = sum(space.c_fixed[u] for u in units)
+    min_recovered = space.demand - tol
+    inf = math.inf
 
-    tol = 1e-9
-
-    def __init__(self, space: IlDesignSpace, fixed) -> None:
-        sel_r, sel_s, cation, anion = _parse_selection(space, fixed)
-        tol = self.tol
-        units = sel_r + sel_s
-        n_r = len(sel_r)
-        self.sel_r, self.sel_s = sel_r, sel_s
-        self.pairs = [(r, s) for r in sel_r for s in sel_s]
-        self.bounds = tuple(
-            (0.0, min(space.f_upper[s], space.alpha[r] * space.f_upper[r]))
-            for r, s in self.pairs)
-        self.beta = [space.beta[s][cation][anion] for s in sel_s]
-        # per transfer: reactor slot, separator slot, conversion
-        transfers = self._transfers = tuple(
-            (i, n_r + j, space.alpha[r])
-            for i, r in enumerate(sel_r) for j in range(len(sel_s)))
-        # per unit: a throughput is inadmissible above ``upper`` and strictly
-        # between the zero level and ``lower``
-        windows = tuple((k, space.f_upper[u] + tol, space.f_lower[u] - tol)
-                        for k, u in enumerate(units))
-        invest_r = tuple(space.c_invest[r] for r in sel_r)
-        # per separator: slot, recovery, investment, energy
-        separators = tuple(
-            (n_r + j, b, space.c_invest[s], space.c_energy[s])
-            for j, (s, b) in enumerate(zip(sel_s, self.beta)))
-        zeros = self._zeros = [0.0] * len(units)
-        fixed_cost = sum(space.c_fixed[u] for u in units)
-        min_recovered = space.demand - tol
-        inf = math.inf
-
-        def evaluate(_fixed, x: np.ndarray) -> tuple[float, str]:
-            xs = x.tolist()
-            if min(xs) < 0.0:
-                return inf, "negative flow"
-            levels = zeros.copy()
-            for (r, s, alpha), v in zip(transfers, xs):
-                levels[r] += v / alpha
-                levels[s] += v
-            for k, up, lo in windows:
-                f = levels[k]
-                if f > up or (f > tol and f < lo):
-                    return inf, "throughput outside its window"
-            recovered = 0
-            for k, b, _, _ in separators:
-                recovered += b * levels[k]
-            if recovered < min_recovered:
-                return inf, "demand shortfall"
-            value = fixed_cost
-            for c, f in zip(invest_r, levels):
-                value += c * f ** 0.6
-            for k, _, c, e in separators:
-                f = levels[k]
-                value += c * f ** 0.6 + e * f
-            return value, "ok"
-
-        self.evaluate = evaluate
-
-    def throughputs(self, xs: Sequence[float]) -> tuple[list, list]:
-        levels = self._zeros.copy()
-        for (r, s, alpha), v in zip(self._transfers, xs):
+    def evaluate(_fixed, x: np.ndarray) -> tuple[float, str]:
+        xs = x.tolist()
+        if min(xs) < 0.0:
+            return inf, "negative flow"
+        levels = zeros.copy()
+        for (r, s, alpha), v in zip(transfers, xs):
             levels[r] += v / alpha
             levels[s] += v
-        n_r = len(self.sel_r)
-        return levels[:n_r], levels[n_r:]
+        for k, up, lo in windows:
+            f = levels[k]
+            if f > up or (f > tol and f < lo):
+                return inf, "throughput outside its window"
+        recovered = 0
+        for k, b, _, _ in separators:
+            recovered += b * levels[k]
+        if recovered < min_recovered:
+            return inf, "demand shortfall"
+        value = fixed_cost
+        for c, f in zip(invest_r, levels):
+            value += c * f ** 0.6
+        for k, _, c, e in separators:
+            f = levels[k]
+            value += c * f ** 0.6 + e * f
+        return value, "ok"
+
+    def flows(xs: Sequence[float]) -> dict:
+        levels = zeros.copy()
+        for (r, s, alpha), v in zip(transfers, xs):
+            levels[r] += v / alpha
+            levels[s] += v
+        return {**{f"src->{r}": f for r, f in zip(sel_r, levels)},
+                **{f"{r}->{s}": v for (r, s), v in zip(pairs, xs)},
+                **{f"{s}->out": b * levels[k]
+                   for s, (k, b, _, _) in zip(sel_s, separators)}}
+
+    return BlackBoxObjective(evaluate, bounds, budget), flows
 
 
 def il_continuous_solve(
@@ -695,22 +695,13 @@ def il_continuous_solve(
     ``evaluations`` and ``status``: "ok", or "continuous-infeasible" (no
     flows, objective ``None``) when no evaluated point was feasible.
     """
-    tables = _IlFlowTables(space, fixed)
-    result = run_blackbox(
-        BlackBoxObjective(tables.evaluate, tables.bounds, budget), fixed,
-        seed, starts=starts)
-    evals = result["evaluations"]
-    if result["status"] != "ok":
-        return {"flows": {}, "objective": None,
-                "status": "continuous-infeasible", "evaluations": evals}
-    best_x = result["best_params"]
-    feed, intake = tables.throughputs(best_x)
-    flows = {f"src->{r}": f for r, f in zip(tables.sel_r, feed)}
-    flows.update({f"{r}->{s}": v for (r, s), v in zip(tables.pairs, best_x)})
-    flows.update({f"{s}->out": b * f
-                  for s, b, f in zip(tables.sel_s, tables.beta, intake)})
-    return {"flows": flows, "objective": result["best_score"], "status": "ok",
-            "evaluations": evals}
+    objective, flows = _compile_il(space, fixed, budget)
+    result = run_blackbox(objective, fixed, seed, starts=starts)
+    ok = result["status"] == "ok"
+    return {"flows": flows(result["best_params"]) if ok else {},
+            "objective": result["best_score"],
+            "status": "ok" if ok else "continuous-infeasible",
+            "evaluations": result["evaluations"]}
 
 
 @dataclass(frozen=True)

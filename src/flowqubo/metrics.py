@@ -129,23 +129,14 @@ def _feasible_configurations(samples: SampleSet, program: BinaryProgram) -> dict
     return counts
 
 
-def _reference_configurations(reference: SampleSet, program: BinaryProgram) -> dict:
-    configs = _feasible_configurations(reference, program)
-    if not configs:
-        raise ModelError("reference sample set has no feasible records")
-    return configs
-
-
 def _coverage(samples: SampleSet, target: AllFeasibleTarget):
-    """Observed coverage estimate, and how many of how many reference
-    configurations the samples' feasible records reach."""
+    """Observed coverage estimate, found count and total, from :func:`diversity`."""
     if not samples.records:
         raise ModelError("cannot estimate success from an empty sample set")
-    reference = _reference_configurations(target.reference, target.program)
-    found = sum(key in reference
-                for key in _feasible_configurations(samples, target.program))
-    p = 1.0 if found == len(reference) else 0.0
-    return SuccessEstimate(p=p, ci=(p, p), method="coverage"), found, len(reference)
+    report = diversity(samples, target.reference, target.program)
+    p = 1.0 if report.found_count == report.total else 0.0
+    return (SuccessEstimate(p=p, ci=(p, p), method="coverage"),
+            report.found_count, report.total)
 
 
 def estimate_success(samples: SampleSet, target) -> SuccessEstimate:
@@ -154,7 +145,8 @@ def estimate_success(samples: SampleSet, target) -> SuccessEstimate:
     Optimality targets use the exact occurrence-weighted hit fraction per
     read.  The all-feasible target is a batch property and is observed: ``p``
     is 1 when the batch reached every reference configuration, else 0 (a
-    resample of the reads cannot reach a configuration the batch missed).
+    resample of the reads cannot reach a configuration the batch missed); a
+    feasible configuration the reference lacks raises, as in :func:`diversity`.
     """
     if isinstance(target, AllFeasibleTarget):
         return _coverage(samples, target)[0]
@@ -188,8 +180,10 @@ def diversity(samples: SampleSet, reference: SampleSet,
     sample occurrences per recovered rank.  A reference with no feasible
     record, or a feasible sample outside it (different models), raises.
     """
-    key_rank = {key: rank for rank, key in
-                enumerate(_reference_configurations(reference, program), 1)}
+    configs = _feasible_configurations(reference, program)
+    if not configs:
+        raise ModelError("reference sample set has no feasible records")
+    key_rank = {key: rank for rank, key in enumerate(configs, 1)}
     rank_hits: dict[int, int] = {}
     for key, occurrences in _feasible_configurations(samples, program).items():
         rank = key_rank.get(key)

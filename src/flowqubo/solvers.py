@@ -3,21 +3,22 @@
 Three interchangeable engines operate on the model types from :mod:`qubo`
 and :mod:`ip`:
 
-* :func:`brute_force` — exhaustive oracle, exact by construction.  It walks
-  the integer codes of all assignments in aligned chunks and filters them
-  row by row, equality rows first, each row evaluated only on the codes that
-  survived the rows before it; the same kernel feeds
-  :func:`~flowqubo.reformulate.verify`, and :func:`branch_and_bound`
-  searches the same compiled rows.  The codes of a chunk share their high
-  bits, so a row whose coefficients are integers is split there: its high
-  part is one number per chunk and its low part a table of ``2^_CHUNK_BITS``
-  sums, read by one gather per row; :func:`_row_evaluator` builds one per
-  row when a scan call starts.  Only the evaluation is split
-  (meet-in-the-middle style, after Horowitz & Sahni, J. ACM 21(2):277,
-  1974): every code still gets every row value until a row rejects it, and
-  the oracle skips no chunk on a bound; ``verify`` skips the chunks whose
-  row spans rule out every code.  Rows with other coefficients, and scans
-  of one chunk, evaluate term by term,
+* :func:`brute_force` — exhaustive oracle, exact by construction.  For a QUBO
+  it returns every assignment, lowest energy first, so ``records[:k]`` are
+  the ``k`` lowest.  It walks the integer codes of all assignments in aligned
+  chunks; for a program it filters them row by row, equality rows first, each
+  row evaluated only on the codes that survived the rows before it; the same
+  kernel feeds :func:`~flowqubo.reformulate.verify`, and
+  :func:`branch_and_bound` searches the same compiled rows.  The codes of a
+  chunk share their high bits, so a row whose coefficients are integers is
+  split there: its high part is one number per chunk and its low part a table
+  of ``2^_CHUNK_BITS`` sums, read by one gather per row;
+  :func:`_row_evaluator` builds one per row when a scan call starts.  Only
+  the evaluation is split (meet-in-the-middle style, after Horowitz & Sahni,
+  J. ACM 21(2):277, 1974): every code still gets every row value until a row
+  rejects it, and the oracle skips no chunk on a bound; ``verify`` skips the
+  chunks whose row spans rule out every code.  Rows with other coefficients,
+  and scans of one chunk, evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
   greedily and flips one colour class per numpy step, all reads at once,
@@ -467,11 +468,12 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
 # -- exhaustive oracle --------------------------------------------------------
 
 
-def brute_force(model, *, limit: int | None = None) -> SampleSet:
+def brute_force(model) -> SampleSet:
     """Exhaustive oracle.
 
-    For a :class:`QuboModel`: every assignment with its exact energy (or the
-    ``limit`` lowest).  For a :class:`BinaryProgram`: one record per distinct
+    For a :class:`QuboModel`: every assignment with its exact energy, in
+    order of energy, ties in lexicographic order, so ``records[:k]`` are the
+    ``k`` lowest.  For a :class:`BinaryProgram`: one record per distinct
     projected feasible configuration, carrying the cheapest completion (ties
     broken by lexicographically smallest assignment) with energy equal to the
     objective.
@@ -486,42 +488,30 @@ def brute_force(model, *, limit: int | None = None) -> SampleSet:
     reads its low ``_CHUNK_BITS`` bits from a table built when the call
     starts (:func:`_row_evaluator`); such sums are exact in any order, so
     the records do not depend on it.  More than ``_VAR_LIMIT``
-    (24) variables raise :class:`~flowqubo.errors.ExhaustiveLimitError`, and
-    a ``limit`` below 1 raises ``ValueError``.
+    (24) variables raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
     """
     if not isinstance(model, (QuboModel, BinaryProgram)):
         raise TypeError(
             f"brute_force expects QuboModel or BinaryProgram, got {type(model)!r}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
     if model.num_vars > _VAR_LIMIT:
         raise ExhaustiveLimitError(
             f"{model.num_vars} variables exceed the exhaustive bound of {_VAR_LIMIT}")
     if isinstance(model, QuboModel):
-        return _brute_force_qubo(model, limit)
+        return _brute_force_qubo(model)
     return _brute_force_program(model)
 
 
-def _brute_force_qubo(qubo: QuboModel, limit) -> SampleSet:
+def _brute_force_qubo(qubo: QuboModel) -> SampleSet:
     n = qubo.num_vars
     t0 = time.perf_counter()
-    kept_k: list[np.ndarray] = []
-    kept_e: list[np.ndarray] = []
-    for ks in _code_chunks(n):
-        energies = qubo.energies(_bit_rows(ks, n))
-        if limit is not None:
-            order = np.argsort(energies, kind="stable")[:limit]
-            ks, energies = ks[order], energies[order]
-        kept_k.append(ks)
-        kept_e.append(energies)
-    ks = np.concatenate(kept_k)
-    energies = np.concatenate(kept_e)
-    order = np.lexsort((ks, energies))[:limit]
+    energies = np.concatenate([qubo.energies(_bit_rows(ks, n)) for ks in _code_chunks(n)])
+    # an energy's index is its code: a stable sort keeps ties in lexicographic order
+    order = np.argsort(energies, kind="stable")
     records: list[SampleRecord] = []
     step = 1 << _CHUNK_BITS   # bit tuples one chunk at a time keep the lists small
     for start in range(0, len(order), step):
         part = order[start:start + step]
-        records += map(SampleRecord, map(tuple, _bit_rows(ks[part], n).tolist()),
+        records += map(SampleRecord, map(tuple, _bit_rows(part, n).tolist()),
                        energies[part].tolist())
     tau = time.perf_counter() - t0
     return SampleSet(records=tuple(records), solver="oracle", tau=tau, seed=None)

@@ -16,8 +16,10 @@ from flowqubo import (
     QuboModel,
     SampleRecord,
     SampleSet,
+    SaParams,
     load_default_ds_space,
     load_default_il_space,
+    simulated_annealing,
 )
 from flowqubo import solvers
 from flowqubo.cli import main
@@ -208,6 +210,40 @@ def test_import_energy_check_rejects_program_level_samples(tmp_path, capsys):
                  "--import-file", str(out_oracle / "samples.json"),
                  "--check-energies", "--out", str(tmp_path / "checked")])
     assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_import_decodes_qubo_width_samples(tmp_path, capsys, ds_reform):
+    # an external sampler's reads in the QUBO space reach the source space as
+    # the sa solver's do, so they count toward the all-feasible target
+    raw = tmp_path / "raw.json"
+    simulated_annealing(ds_reform.qubo, SaParams(
+        seed=3, num_reads=200, num_sweeps=200)).save(raw, include_tau=False)
+    assert main(["solve", "--case", "ds", "--solver", "oracle",
+                 "--out", str(tmp_path / "oracle")]) == 0
+    assert main(["solve", "--case", "ds", "--solver", "sa", "--seed", "3",
+                 "--reads", "200", "--sweeps", "200",
+                 "--out", str(tmp_path / "sa")]) == 0
+    sa_records = SampleSet.load(tmp_path / "sa" / "samples.json").records
+    for checked in (["--check-energies"], []):
+        out = tmp_path / f"imported{len(checked)}"
+        assert main(["solve", "--case", "ds", "--solver", "import",
+                     "--import-file", str(raw), *checked, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--samples", str(out / "samples.json"),
+                     "--reference", str(tmp_path / "oracle" / "samples.json"),
+                     "--target", "both", "--case", "ds",
+                     "--out", str(tmp_path / "report")]) == 0
+        stdout = capsys.readouterr().out
+        assert "p_opt=0.025" in stdout
+        assert "coverage=36/36" in stdout
+        assert SampleSet.load(out / "samples.json").records == sa_records
+        assert json.loads((out / "run_config.json").read_text())["rho"] == ds_reform.rho
+    # neither source nor QUBO width
+    short = tmp_path / "short.json"
+    SampleSet.build([SampleRecord((0, 1, 0), 1.0)], "ext").save(short)
+    assert main(["solve", "--case", "ds", "--solver", "import",
+                 "--import-file", str(short), "--out", str(tmp_path / "bad")]) == 2
     assert "error:" in capsys.readouterr().err
 
 

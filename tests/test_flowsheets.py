@@ -27,8 +27,9 @@ from flowqubo.flowsheets import (
     _INITIAL_STEP_FRAC,
     _SHRINK,
     _STOP_MESH,
+    _IL_TOL,
     _BudgetSpent,
-    _IlFlowTables,
+    _compile_il,
     _parse_selection,
 )
 
@@ -141,6 +142,13 @@ def _reference_il_model(space, fixed):
             intake[s] += v
         return feed, intake
 
+    def flows(x):
+        feed, intake = throughputs(x)
+        named = {f"src->{r}": float(feed[r]) for r in sel_r}
+        named.update({f"{r}->{s}": float(v) for (r, s), v in zip(pairs, x)})
+        named.update({f"{s}->out": float(beta_s[s] * intake[s]) for s in sel_s})
+        return named
+
     def admissible(level, unit):
         if level > space.f_upper[unit] + tol:
             return False
@@ -169,29 +177,23 @@ def _reference_il_model(space, fixed):
                       + space.c_energy[s] * intake[s])
         return value, "ok"
 
-    return pairs, bounds, beta_s, throughputs, evaluate
+    return pairs, bounds, flows, evaluate
 
 
 def _reference_il_continuous_solve(space, fixed, *, seed=None, budget=None,
                                    starts=20):
-    sel_r, sel_s, _, _ = _parse_selection(space, fixed)
-    pairs, bounds, beta_s, throughputs, evaluate = _reference_il_model(space, fixed)
+    _, bounds, flows, evaluate = _reference_il_model(space, fixed)
     result = run_blackbox(BlackBoxObjective(evaluate, bounds, budget), fixed,
                           seed, starts=starts)
     evals = result["evaluations"]
     if result["status"] != "ok":
         return {"flows": {}, "objective": None,
                 "status": "continuous-infeasible", "evaluations": evals}
-    best_x = result["best_params"]
-    feed, intake = throughputs(best_x)
-    flows = {f"src->{r}": float(feed[r]) for r in sel_r}
-    flows.update({f"{r}->{s}": float(v) for (r, s), v in zip(pairs, best_x)})
-    flows.update({f"{s}->out": float(beta_s[s] * intake[s]) for s in sel_s})
-    return {"flows": flows, "objective": result["best_score"], "status": "ok",
-            "evaluations": evals}
+    return {"flows": flows(result["best_params"]), "objective": result["best_score"],
+            "status": "ok", "evaluations": evals}
 
 
-_TOL = _IlFlowTables.tol
+_TOL = _IL_TOL
 _coeff = st.floats(0.0, 10.0, allow_nan=False)
 
 
@@ -630,24 +632,19 @@ def test_pattern_search_never_changes_an_evaluated_point(bounds, seed, starts,
 @given(case=_il_spaces(), data=st.data())
 def test_compiled_il_evaluator_matches_the_dict_reference(case, data):
     space, selection = case
-    tables = _IlFlowTables(space, selection)
-    pairs, bounds, _, throughputs, evaluate = _reference_il_model(space, selection)
-    assert tables.pairs == pairs
-    assert tables.bounds == bounds
+    objective, flows = _compile_il(space, selection, None)
+    pairs, bounds, ref_flows, evaluate = _reference_il_model(space, selection)
+    assert objective.bounds == bounds
     for _ in range(8):
         x = data.draw(_il_points(space, bounds, pairs))
-        value, status = tables.evaluate(selection, x)
-        ref_value, ref_status = evaluate(selection, x)
-        assert (value, status) == (ref_value, ref_status)
-        feed, intake = tables.throughputs(x.tolist())
-        ref_feed, ref_intake = throughputs(x)
-        assert feed == [ref_feed[r] for r in tables.sel_r]
-        assert intake == [ref_intake[s] for s in tables.sel_s]
+        assert objective.evaluate(selection, x) == evaluate(selection, x)
+        # every stream, in the reference's order, equal to the last bit
+        assert list(flows(x.tolist()).items()) == list(ref_flows(x).items())
 
 
 def test_il_evaluator_bars_every_negative_flow():
-    tables = _IlFlowTables(_single_path_space(), _SINGLE_SELECTION)
-    assert tables.evaluate(_SINGLE_SELECTION, np.array([-1e-9])) == \
+    evaluate = _compile_il(_single_path_space(), _SINGLE_SELECTION, None)[0].evaluate
+    assert evaluate(_SINGLE_SELECTION, np.array([-1e-9])) == \
         (math.inf, "negative flow")
     # a flow in [-tol, 0) next to one that meets the demand once cost nan
     space = _single_path_space(
@@ -660,10 +657,10 @@ def test_il_evaluator_bars_every_negative_flow():
         f_lower={"R1": 1.0, "S1": 1.0, "S2": 1.0},
         f_upper={"R1": 20.0, "S1": 16.0, "S2": 16.0})
     selection = dict(_SINGLE_SELECTION, **{"y[S2]": 1})
-    tables = _IlFlowTables(space, selection)
-    assert tables.evaluate(selection, np.array([-1e-9, 5.0])) == \
+    evaluate = _compile_il(space, selection, None)[0].evaluate
+    assert evaluate(selection, np.array([-1e-9, 5.0])) == \
         (math.inf, "negative flow")
-    assert tables.evaluate(selection, np.array([0.0, 5.0]))[1] == "ok"
+    assert evaluate(selection, np.array([0.0, 5.0]))[1] == "ok"
 
 
 @settings(max_examples=60, deadline=None)

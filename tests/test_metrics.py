@@ -176,6 +176,23 @@ def test_diversity_rejects_foreign_solutions():
         diversity(foreign, reference, prog)
 
 
+def test_coverage_rejects_foreign_solutions():
+    # the coverage target reads diversity, so a feasible configuration the
+    # reference lacks raises here too, not a coverage of 1 of 2
+    prog = BinaryProgram(
+        var_names=("a", "b"), objective={"a": 1.0},
+        constraints=(Constraint({"a": 1.0}, "=", 1.0),))
+    target = AllFeasibleTarget(reference=brute_force(prog), program=prog)
+    foreign = _samples([
+        SampleRecord((0, 0), 0.0, feasible=True, objective=0.0),
+        SampleRecord((1, 0), 1.0, feasible=True, objective=1.0),
+    ])
+    with pytest.raises(ModelError, match="missing from the reference"):
+        estimate_success(foreign, target)
+    with pytest.raises(ModelError, match="missing from the reference"):
+        build_ttt_report(foreign, feasible_target=target)
+
+
 def test_diversity_ranks_only_feasible_reference_configurations():
     # an annealer's batch as its own reference: the infeasible record takes
     # no rank, so the ranks are 1..3 and match the ttt.csv coverage

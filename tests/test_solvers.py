@@ -150,22 +150,6 @@ def test_brute_force_qubo_orders_by_energy_then_lex():
     assert ss.solver == "oracle"
 
 
-def test_brute_force_qubo_limit_keeps_lowest():
-    ss = brute_force(_tiny_qubo(), limit=2)
-    assert [r.assignment for r in ss.records] == [(0, 0), (1, 1)]
-
-
-@pytest.mark.parametrize("chunk_bits", [1, 14])
-@pytest.mark.parametrize("limit", [-1, 0])
-def test_brute_force_rejects_limit_below_one(limit, chunk_bits, monkeypatch):
-    # a limit of -1 kept 6 of the 8 records as one chunk and 3 in chunks of
-    # two codes, and a limit of 0 kept none, with status "ok"
-    q = QuboModel.from_terms(3, {(0, 0): 1.0, (1, 1): -2.0, (0, 2): 3.0})
-    monkeypatch.setattr(solvers, "_CHUNK_BITS", chunk_bits)
-    with pytest.raises(ValueError, match="limit"):
-        brute_force(q, limit=limit)
-
-
 def test_brute_force_var_limit():
     q = QuboModel.from_terms(25, {(0, 0): 1.0})
     with pytest.raises(ExhaustiveLimitError):
@@ -263,7 +247,7 @@ def test_brute_force_chunking_invariant(chunk_bits, monkeypatch):
         6, {(i, j): ((i + 2 * j) % 5) - 2.0 for i in range(6) for j in range(i, 6)})
 
     def scans():
-        out = [brute_force(q).records, brute_force(q, limit=10).records,
+        out = [brute_force(q).records, brute_force(q).records[:10],
                brute_force(_INEXACT_PROGRAM).records]
         for prog in _CHUNKING_PROGRAMS:
             oracle = brute_force(prog)
@@ -311,11 +295,13 @@ def test_branch_and_bound_makes_no_row_evaluator(mode, ds_program, monkeypatch):
 
 
 def _per_code_qubo_reference(qubo, limit=None):
-    """``brute_force(qubo)`` as it was before the bulk bit rows.
+    """``brute_force(qubo)`` as it was before the bulk bit rows, with its
+    former top-``limit`` path.
 
     Energies come from a transposed float 0/1 matrix per chunk of 2^14
-    codes, and each record's bit tuple is built from its code one bit at
-    a time.
+    codes, each chunk keeps its ``limit`` lowest, the survivors are sorted
+    by energy and code, and each record's bit tuple is built from its code
+    one bit at a time.
     """
     n = qubo.num_vars
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -344,7 +330,8 @@ def _per_code_qubo_reference(qubo, limit=None):
 @st.composite
 def _scan_qubos(draw):
     """A QUBO of 0-16 variables with integer, tenth or normal coefficients,
-    and a record limit: none, below one chunk of codes, or above 2^n."""
+    and how many lowest records to compare: all, below one chunk of codes,
+    or above 2^n."""
     n = draw(st.integers(0, 16))
     kind = draw(st.sampled_from(["integer", "tenth", "normal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -377,8 +364,7 @@ def _scan_qubos(draw):
     100))
 def test_brute_force_qubo_matches_the_per_code_reference(case):
     qubo, limit = case
-    assert brute_force(qubo, limit=limit).records == \
-        _per_code_qubo_reference(qubo, limit)
+    assert brute_force(qubo).records[:limit] == _per_code_qubo_reference(qubo, limit)
 
 
 def test_brute_force_zero_variable_program():
