@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FlowQuboError, ModelError, SolverError
+from .errors import FlowQuboError, ModelError, SampleFormatError, SolverError
 from .flowsheets import (
     DsDesignSpace,
     IlDesignSpace,
@@ -38,7 +38,7 @@ from .flowsheets import (
     load_default_il_space,
     sweep_il,
 )
-from .ip import BinaryProgram
+from .ip import _FEAS_TOL, BinaryProgram
 from .metrics import (
     AllFeasibleTarget,
     OptimalityTarget,
@@ -130,6 +130,21 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _check_claims(program: BinaryProgram, samples: SampleSet) -> None:
+    """Refuse a record whose ``feasible`` or ``objective`` claim the program
+    contradicts; a null claim is none."""
+    for rec in samples.records:
+        bits = "".join(map(str, rec.assignment))
+        broken = program.violations(rec.assignment)
+        value = program.objective_value(rec.assignment)
+        if rec.feasible is not None and rec.feasible == bool(broken):
+            why = f"breaks row {broken[0]!r}" if broken else "satisfies every row"
+            raise SampleFormatError(f"record {bits} claims feasible={rec.feasible}, but it {why}")
+        if rec.objective is not None and abs(rec.objective - value) > _FEAS_TOL * (1 + abs(value)):
+            raise SampleFormatError(f"record {bits} claims objective {rec.objective!r}, "
+                                    f"but the program gives {value!r}")
+
+
 def _cmd_solve(args) -> int:
     _check_rho(args)
     program, _ = _load_case(args)
@@ -165,6 +180,8 @@ def _cmd_solve(args) -> int:
             # QUBO-width reads, their energies checked when asked, decode as sa's do
             rho = reform.rho
             samples = reform.decode_sampleset(samples)
+        else:
+            _check_claims(program, samples)
 
     outdir = _out_dir(args)
     samples.save(outdir / "samples.json", include_tau=args.record_tau)

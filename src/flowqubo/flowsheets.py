@@ -567,13 +567,7 @@ def _parse_selection(space: IlDesignSpace, fixed) -> tuple[list, list, str, str]
               list(space.cations), list(space.anions))
     prefixes = ("y", "y", "z", "z")
     if isinstance(fixed, Mapping):
-        def bit(prefix, unit):
-            for key in (f"{prefix}[{unit}]", unit):
-                if key in fixed:
-                    return int(fixed[key])
-            return 0
-
-        picked = [[u for u in group if bit(p, u)]
+        picked = [[u for u in group if int(fixed.get(f"{p}[{u}]", 0))]
                   for group, p in zip(groups, prefixes)]
     else:
         flat = [int(b) for b in fixed]
@@ -684,14 +678,18 @@ def il_continuous_solve(
 ) -> dict:
     """Flow sizing for one fixed configuration.
 
-    Search variables are the reactor-to-separator transfers; reactor feeds
-    and separator intakes follow from them.  Unit throughputs are
-    semicontinuous (zero or inside [f_lower, f_upper]) and the recovered
-    product must meet the demand.  The objective adds fixed costs of the
-    selected units, concave investment terms on throughputs, and a linear
-    energy term on separator intake.  The configuration is compiled once
-    into the search box and evaluator of a :class:`BlackBoxObjective` that
-    :func:`run_blackbox` optimizes.  Returns ``flows``, ``objective``,
+    ``fixed`` names it by the il program's projection keys, ``y[unit]``
+    for reactors and separators and ``z[ion]`` for cations and anions (an
+    absent key reads 0), or gives its bits in projection order: reactors,
+    separators, cations, anions.  Search variables are the
+    reactor-to-separator transfers; reactor feeds and separator intakes
+    follow from them.  Unit throughputs are semicontinuous (zero or inside
+    [f_lower, f_upper]) and the recovered product must meet the demand.
+    The objective adds fixed costs of the selected units, concave
+    investment terms on throughputs, and a linear energy term on separator
+    intake.  The configuration is compiled once into the search box and
+    evaluator of a :class:`BlackBoxObjective` that :func:`run_blackbox`
+    optimizes.  Returns ``flows``, ``objective``,
     ``evaluations`` and ``status``: "ok", or "continuous-infeasible" (no
     flows, objective ``None``) when no evaluated point was feasible.
     """

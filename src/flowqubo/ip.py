@@ -12,7 +12,8 @@ are enumerated or compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -51,6 +52,16 @@ def row_holds(sense: str, lhs, rhs: float):
     return lhs >= rhs - _FEAS_TOL
 
 
+def _bilinear_sum(total: float, linear: Mapping[str, float], products,
+                  values: Mapping[str, int]) -> float:
+    """``total`` plus the linear terms, then the product terms, at ``values``."""
+    for name, coeff in linear.items():
+        total += coeff * values[name]
+    for u, v, coeff in products:
+        total += coeff * values[u] * values[v]
+    return total
+
+
 def _check_products(products) -> tuple[tuple[str, str, float], ...]:
     out = []
     for u, v, coeff in products:
@@ -84,12 +95,7 @@ class Constraint:
         return frozenset(names)
 
     def value(self, values: Mapping[str, int]) -> float:
-        total = 0.0
-        for name, coeff in self.linear.items():
-            total += coeff * values[name]
-        for u, v, coeff in self.products:
-            total += coeff * values[u] * values[v]
-        return total
+        return _bilinear_sum(0.0, self.linear, self.products, values)
 
     def satisfied(self, values: Mapping[str, int]) -> bool:
         return row_holds(self.sense, self.value(values), self.rhs)
@@ -161,12 +167,6 @@ class BinaryProgram:
     def num_vars(self) -> int:
         return len(self.var_names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise ModelError(f"unknown variable {name!r}") from None
-
     def as_map(self, assignment: Sequence[int]) -> dict[str, int]:
         if len(assignment) != self.num_vars:
             raise DimensionError(
@@ -181,13 +181,8 @@ class BinaryProgram:
     # -- evaluation ----------------------------------------------------------
 
     def objective_value(self, assignment: Sequence[int]) -> float:
-        values = self.as_map(assignment)
-        total = self.objective_constant
-        for name, coeff in self.objective.items():
-            total += coeff * values[name]
-        for u, v, coeff in self.objective_products:
-            total += coeff * values[u] * values[v]
-        return total
+        return _bilinear_sum(self.objective_constant, self.objective,
+                             self.objective_products, self.as_map(assignment))
 
     def violations(self, assignment: Sequence[int]) -> list[str]:
         """Labels of all constraints the assignment violates."""
@@ -197,21 +192,21 @@ class BinaryProgram:
     def is_feasible(self, assignment: Sequence[int]) -> bool:
         return not self.violations(assignment)
 
+    @cached_property
+    def key_indices(self) -> tuple[int, ...]:
+        """Positions of the variables that make up a configuration: the
+        projection's, in its order, or all of them when it is empty."""
+        return tuple(map(self.var_names.index, self.projection or self.var_names))
+
     def project(self, assignment: Sequence[int]) -> tuple[int, ...]:
-        """The bits of the projection variables; all of them when the
-        projection is empty."""
-        values = self.as_map(assignment)
-        return tuple(values[name] for name in self.projection or self.var_names)
+        """The configuration key of an assignment of the model's width: its
+        bits at :attr:`key_indices`.  Any other width raises
+        :class:`~flowqubo.errors.DimensionError`."""
+        bits = tuple(self.as_map(assignment).values())
+        return tuple(bits[i] for i in self.key_indices)
 
     def with_constraints(self, extra: Iterable[Constraint]) -> "BinaryProgram":
-        return BinaryProgram(
-            var_names=self.var_names,
-            objective=self.objective,
-            constraints=self.constraints + tuple(extra),
-            objective_constant=self.objective_constant,
-            objective_products=self.objective_products,
-            projection=self.projection,
-        )
+        return replace(self, constraints=self.constraints + tuple(extra))
 
     # -- serialization -------------------------------------------------------
 

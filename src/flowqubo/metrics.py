@@ -82,9 +82,9 @@ class OptimalityTarget:
 class AllFeasibleTarget:
     """Hit = one batch of reads covering every reference configuration.
 
-    The reference's feasible records, projected onto ``program``, are the
-    configurations; it should be exhaustive (oracle, ``enumerate_all`` or a
-    full pool).
+    The reference's feasible records, assignments of ``program``'s width
+    projected onto it, are the configurations; it should be exhaustive
+    (oracle, ``enumerate_all`` or a full pool).
     """
 
     reference: SampleSet
@@ -106,25 +106,14 @@ def _wilson(hits: int, total: int) -> tuple[float, float]:
     return (low, high)
 
 
-def _record_key(assignment: tuple[int, ...], program: BinaryProgram):
-    """Projected configuration key; accepts full or already projected bits."""
-    proj = program.projection or program.var_names
-    if len(assignment) == program.num_vars:
-        return program.project(assignment)
-    if len(assignment) == len(proj):
-        return tuple(assignment)
-    raise ModelError(
-        f"assignment of length {len(assignment)} matches neither the model "
-        f"({program.num_vars} variables) nor its projection ({len(proj)})")
-
-
 def _feasible_configurations(samples: SampleSet, program: BinaryProgram) -> dict:
-    """Occurrences of each feasible projected configuration of ``samples``,
-    keyed in the order of each configuration's first record."""
+    """Occurrences of each feasible configuration of ``samples``, keyed by
+    :meth:`~flowqubo.ip.BinaryProgram.project` in the order of each
+    configuration's first record."""
     counts: dict = {}
     for rec in samples.records:
         if rec.feasible:
-            key = _record_key(rec.assignment, program)
+            key = program.project(rec.assignment)
             counts[key] = counts.get(key, 0) + rec.occurrences
     return counts
 
@@ -177,8 +166,12 @@ def diversity(samples: SampleSet, reference: SampleSet,
 
     Those configurations, the ones the all-feasible target counts, rank
     1..total in the order of their first records.  ``rank_hits`` counts
-    sample occurrences per recovered rank.  A reference with no feasible
-    record, or a feasible sample outside it (different models), raises.
+    sample occurrences per recovered rank.  Both sets hold assignments of
+    the model's width, which :meth:`~flowqubo.ip.BinaryProgram.project`
+    reads; a feasible record of any other width raises
+    :class:`~flowqubo.errors.DimensionError`.  A reference with no feasible
+    record, or a feasible sample outside it (different models), raises
+    :class:`~flowqubo.errors.ModelError`.
     """
     configs = _feasible_configurations(reference, program)
     if not configs:

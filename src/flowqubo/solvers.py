@@ -172,10 +172,73 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SampleSet":
-        try:
-            return _parse_sample_json(data)
-        except OverflowError as exc:
-            raise SampleFormatError(f"number out of float range: {exc}") from exc
+        if not isinstance(data, Mapping):
+            raise SampleFormatError("sample file must hold a JSON object")
+        solver = data.get("solver")
+        if not isinstance(solver, str) or not solver:
+            raise SampleFormatError("missing or invalid 'solver' field")
+        seed = data.get("seed")
+        if seed is not None:
+            seed = _sample_number(json_int, seed, "'seed' must be an integer or null")
+        tau = data.get("tau_seconds")
+        if tau is not None:
+            what = "'tau_seconds' must be a positive finite number or null"
+            tau = _sample_number(json_float, tau, what)
+            if not tau > 0:
+                raise SampleFormatError(what)
+        status = data.get("status", "ok")
+        if not isinstance(status, str):
+            raise SampleFormatError("'status' must be a string")
+        raw_records = data.get("records")
+        if not isinstance(raw_records, list):
+            raise SampleFormatError("missing 'records' list")
+        records = []
+        width = None
+        for pos, raw in enumerate(raw_records):
+            if not isinstance(raw, Mapping):
+                raise SampleFormatError(f"record {pos} is not an object")
+            bits = raw.get("assignment")
+            if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+                raise SampleFormatError(f"record {pos}: assignment must be a 0/1 string")
+            if width is None:
+                width = len(bits)
+            elif len(bits) != width:
+                raise SampleFormatError(f"record {pos}: inconsistent assignment length")
+            energy = _sample_number(json_float, raw.get("energy"),
+                                    f"record {pos}: energy must be a finite number")
+            what = f"record {pos}: occurrences must be a positive integer"
+            occurrences = _sample_number(json_int, raw.get("occurrences", 1), what)
+            if occurrences < 1:
+                raise SampleFormatError(what)
+            objective = raw.get("objective")
+            if objective is not None:
+                what = f"record {pos}: objective must be a finite number or null"
+                objective = _sample_number(json_float, objective, what)
+            feasible = raw.get("feasible")
+            if feasible is not None and not isinstance(feasible, bool):
+                raise SampleFormatError(f"record {pos}: feasible must be a boolean or null")
+            records.append(SampleRecord(
+                assignment=tuple(int(ch) for ch in bits),
+                energy=energy,
+                occurrences=occurrences,
+                objective=objective,
+                feasible=feasible,
+            ))
+        metadata = data.get("metadata", {})
+        if not isinstance(metadata, Mapping):
+            raise SampleFormatError("'metadata' must be an object")
+        breakdown = data.get("time_breakdown")
+        if breakdown is not None and not isinstance(breakdown, Mapping):
+            raise SampleFormatError("'time_breakdown' must be an object or absent")
+        return cls.build(
+            records,
+            solver,
+            tau=tau,
+            seed=seed,
+            status=status,
+            metadata=metadata,
+            time_breakdown=breakdown,
+        )
 
     def save(self, path, include_tau: bool = True) -> None:
         write_json(path, self.to_json_dict(include_tau=include_tau))
@@ -187,82 +250,13 @@ class SampleSet:
 
 def _sample_number(read, value, what: str):
     """``read(value)``, with :func:`~flowqubo.errors.json_int` or
-    :func:`~flowqubo.errors.json_float` as ``read``; a value they refuse
-    raises SampleFormatError saying ``what`` it must be."""
+    :func:`~flowqubo.errors.json_float` as ``read``; a value they refuse,
+    an integer too large for a float among them, raises SampleFormatError
+    saying ``what`` it must be."""
     try:
         return read(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SampleFormatError(f"{what} ({exc})") from exc
-
-
-def _parse_sample_json(data: Mapping) -> SampleSet:
-    if not isinstance(data, Mapping):
-        raise SampleFormatError("sample file must hold a JSON object")
-    solver = data.get("solver")
-    if not isinstance(solver, str) or not solver:
-        raise SampleFormatError("missing or invalid 'solver' field")
-    seed = data.get("seed")
-    if seed is not None:
-        seed = _sample_number(json_int, seed, "'seed' must be an integer or null")
-    tau = data.get("tau_seconds")
-    if tau is not None:
-        what = "'tau_seconds' must be a positive finite number or null"
-        tau = _sample_number(json_float, tau, what)
-        if not tau > 0:
-            raise SampleFormatError(what)
-    status = data.get("status", "ok")
-    if not isinstance(status, str):
-        raise SampleFormatError("'status' must be a string")
-    raw_records = data.get("records")
-    if not isinstance(raw_records, list):
-        raise SampleFormatError("missing 'records' list")
-    records = []
-    width = None
-    for pos, raw in enumerate(raw_records):
-        if not isinstance(raw, Mapping):
-            raise SampleFormatError(f"record {pos} is not an object")
-        bits = raw.get("assignment")
-        if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-            raise SampleFormatError(f"record {pos}: assignment must be a 0/1 string")
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
-            raise SampleFormatError(f"record {pos}: inconsistent assignment length")
-        energy = _sample_number(json_float, raw.get("energy"),
-                                f"record {pos}: energy must be a finite number")
-        what = f"record {pos}: occurrences must be a positive integer"
-        occurrences = _sample_number(json_int, raw.get("occurrences", 1), what)
-        if occurrences < 1:
-            raise SampleFormatError(what)
-        objective = raw.get("objective")
-        if objective is not None:
-            objective = _sample_number(json_float, objective,
-                                       f"record {pos}: objective must be a finite number or null")
-        feasible = raw.get("feasible")
-        if feasible is not None and not isinstance(feasible, bool):
-            raise SampleFormatError(f"record {pos}: feasible must be a boolean or null")
-        records.append(SampleRecord(
-            assignment=tuple(int(ch) for ch in bits),
-            energy=energy,
-            occurrences=occurrences,
-            objective=objective,
-            feasible=feasible,
-        ))
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, Mapping):
-        raise SampleFormatError("'metadata' must be an object")
-    breakdown = data.get("time_breakdown")
-    if breakdown is not None and not isinstance(breakdown, Mapping):
-        raise SampleFormatError("'time_breakdown' must be an object or absent")
-    return SampleSet.build(
-        records,
-        solver,
-        tau=tau,
-        seed=seed,
-        status=status,
-        metadata=metadata,
-        time_breakdown=breakdown,
-    )
 
 
 def import_samples(path, qubo: QuboModel | None = None, tol: float = 1e-6) -> SampleSet:
@@ -522,8 +516,7 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
     t0 = time.perf_counter()
     tables = _program_tables(program)
     checks = [(_row_evaluator(lhs, n)[0], sense, rhs) for lhs, sense, rhs in tables.rows]
-    proj_names = program.projection or program.var_names
-    proj_idx = [program.index(name) for name in proj_names]
+    key_idx = list(program.key_indices)
     pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
     for codes in _code_chunks(n):
         codes = _feasible_codes(checks, codes)
@@ -532,7 +525,7 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
         rows = _bit_rows(codes, n)
         objs = tables.objective.values(codes)
         for bits, key, obj in zip(map(tuple, rows.tolist()),
-                                  map(tuple, rows[:, proj_idx].tolist()),
+                                  map(tuple, rows[:, key_idx].tolist()),
                                   objs.tolist()):
             prev = pool.get(key)
             if prev is None or obj < prev[0]:
@@ -960,9 +953,7 @@ def branch_and_bound(program: BinaryProgram, mode: str = "optimal", *,
     if mode == "optimal":
         found = _bb_search(program, ())
     else:
-        position = {name: i for i, name in enumerate(program.var_names)}
-        over = program.projection or program.var_names
-        found = _bb_search(program, [position[name] for name in over])
+        found = _bb_search(program, program.key_indices)
         if mode == "pool":
             found = found[:pool_size]
     records = [SampleRecord(assignment=bits, energy=obj, objective=obj, feasible=True)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,83 @@ def test_import_requires_file(tmp_path, capsys):
     assert main(["solve", "--case", "ds", "--solver", "import",
                  "--out", str(tmp_path)]) == 2
     assert "--import-file" in capsys.readouterr().err
+
+
+_DS_ZEROS = "0" * 19
+
+
+@pytest.mark.parametrize("feasible, objective, message", [
+    # the repro: all zeros breaks both source/sink activation rows, and the
+    # program's objective there is 0
+    (True, -5.0, f"record {_DS_ZEROS} claims feasible=True, but it breaks "
+                 "row 'source/sink activation'"),
+    (False, 1e-6, f"record {_DS_ZEROS} claims objective 1e-06, but the program gives 0.0"),
+    (None, -5.0, f"record {_DS_ZEROS} claims objective -5.0, but the program gives 0.0"),
+])
+def test_import_checks_source_width_claims(tmp_path, capsys, feasible, objective,
+                                           message):
+    claimed = tmp_path / "claimed.json"
+    SampleSet.build([SampleRecord(tuple(map(int, _DS_ZEROS)), -5.0, objective=objective,
+                                  feasible=feasible)], "ext").save(claimed)
+    out = tmp_path / "imported"
+    assert main(["solve", "--case", "ds", "--solver", "import",
+                 "--import-file", str(claimed), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_refuses_a_false_infeasible_claim(tmp_path, capsys):
+    out_oracle = tmp_path / "oracle"
+    assert main(["solve", "--case", "ds", "--solver", "oracle",
+                 "--out", str(out_oracle)]) == 0
+    best = SampleSet.load(out_oracle / "samples.json").best()
+    claimed = tmp_path / "claimed.json"
+    SampleSet.build([replace(best, feasible=False)], "ext").save(claimed)
+    assert main(["solve", "--case", "ds", "--solver", "import",
+                 "--import-file", str(claimed), "--out", str(tmp_path / "out")]) == 2
+    assert "claims feasible=False, but it satisfies every row" in capsys.readouterr().err
+
+
+def test_import_keeps_null_claims_and_energies(tmp_path):
+    records = [SampleRecord(tuple(map(int, _DS_ZEROS)), -5.0, occurrences=2),
+               SampleRecord((1,) * 19, 7.25)]
+    claimed = tmp_path / "claimed.json"
+    SampleSet.build(records, "ext").save(claimed)
+    out = tmp_path / "imported"
+    assert main(["solve", "--case", "ds", "--solver", "import",
+                 "--import-file", str(claimed), "--out", str(out)]) == 0
+    assert SampleSet.load(out / "samples.json").records == tuple(records)
+
+
+def test_solver_failure_exits_3(tmp_path, capsys):
+    # the annealing kernel holds couplings as float32, whose largest finite
+    # value is about 3.4e38
+    model = tmp_path / "huge.json"
+    BinaryProgram(var_names=("a", "b"), objective={"a": 1e39, "b": 1.0}).save(model)
+    out = tmp_path / "out"
+    assert main(["solve", "--case", "custom", "--model", str(model), "--solver", "sa",
+                 "--seed", "1", "--reads", "2", "--sweeps", "2", "--out", str(out)]) == 3
+    assert "error: coefficients too large for the float32 annealing kernel" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_refuses_projection_width_samples(tmp_path, capsys, il_program):
+    # il's configuration key is its 9 projection bits; a samples file of that
+    # width is no assignment of the 24-variable model
+    out_enum = tmp_path / "enum"
+    assert main(["solve", "--case", "il", "--solver", "bb-enumerate",
+                 "--out", str(out_enum)]) == 0
+    reference = SampleSet.load(out_enum / "samples.json")
+    projected = tmp_path / "projected.json"
+    SampleSet.build([replace(rec, assignment=il_program.project(rec.assignment))
+                     for rec in reference.records], "ext").save(projected)
+    out_report = tmp_path / "report"
+    assert main(["report", "--samples", str(projected),
+                 "--reference", str(out_enum / "samples.json"), "--target", "feas",
+                 "--case", "il", "--out", str(out_report)]) == 2
+    assert "assignment has 9 entries, program has 24" in capsys.readouterr().err
+    assert not out_report.exists()
 
 
 def test_report_with_reference(tmp_path, capsys):

@@ -724,6 +724,9 @@ def test_continuous_accepts_projection_bits():
 
 def test_continuous_selection_validation():
     space = _single_path_space()
+    # a bare unit name is no projection key, so it selects nothing
+    with pytest.raises(ModelError, match="no reactor or no separator"):
+        il_continuous_solve(space, {"R1": 1, "S1": 1, "c1": 1, "a1": 1})
     with pytest.raises(ModelError):
         il_continuous_solve(space, {"y[S1]": 1, "z[c1]": 1, "z[a1]": 1})
     with pytest.raises(ModelError):

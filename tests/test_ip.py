@@ -73,6 +73,17 @@ def test_empty_projection_projects_onto_all_variables():
     assert prog.project((1, 0)) == (1, 0)
 
 
+def test_configuration_key_follows_the_projection_order():
+    prog = BinaryProgram(var_names=("a", "b", "c"), objective={},
+                         projection=("c", "a"))
+    assert prog.key_indices == (2, 0)
+    assert prog.project((1, 0, 0)) == (0, 1)
+    assert BinaryProgram(var_names=("a", "b"), objective={}).key_indices == (0, 1)
+    # a key has the model's width only; the projection's own width is none
+    with pytest.raises(DimensionError):
+        prog.project((0, 1))
+
+
 def test_program_objective_products():
     prog = BinaryProgram(
         var_names=("u", "v"),

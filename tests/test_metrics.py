@@ -8,6 +8,7 @@ from flowqubo import (
     AllFeasibleTarget,
     BinaryProgram,
     Constraint,
+    DimensionError,
     ModelError,
     OptimalityTarget,
     ParetoPoint,
@@ -248,6 +249,23 @@ def test_diversity_projects_full_assignments():
     ss = _samples([SampleRecord((1, 0, 1), 2.0, feasible=True, objective=2.0)])
     rep = diversity(ss, reference, prog)
     assert rep.found_ranks == (1,)
+
+
+def test_diversity_refuses_projection_width_records():
+    prog = BinaryProgram(
+        var_names=("a", "b", "c"),
+        objective={"a": 1.0, "b": 2.0, "c": 1.0},
+        constraints=(Constraint({"a": 1.0, "b": 1.0}, ">=", 1.0),),
+        projection=("a", "b"),
+    )
+    reference = brute_force(prog)
+    projected = _samples([SampleRecord((1, 0), 1.0, feasible=True, objective=1.0)])
+    with pytest.raises(DimensionError, match="assignment has 2 entries, program has 3"):
+        diversity(projected, reference, prog)
+    with pytest.raises(DimensionError):
+        diversity(reference, projected, prog)
+    with pytest.raises(DimensionError):
+        build_ttt_report(projected, feasible_target=AllFeasibleTarget(reference, prog))
 
 
 # -- pareto --------------------------------------------------------------------

@@ -654,11 +654,12 @@ def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
 
 
 def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
-    """On il each pass of verify reads at most 21 whole chunks of 2^14
-    codes of its 1024; the row spans rule out the rest.  The
-    feasibility pass reads a chunk through ``_feasible_codes`` and the
-    threshold pass through ``_completion_energies`` with a finite bound;
-    the other calls of each get only a chunk's survivors."""
+    """On il each pass of verify reads at most 344,064 of its 2^24 codes
+    whole, 21 chunks of 2^14; the row spans rule out the rest.  The bound
+    is in codes, so it holds at any chunk size.  The feasibility pass reads
+    a chunk through ``_feasible_codes`` and the threshold pass through
+    ``_completion_energies`` with a finite bound; the other calls of each
+    get only a chunk's survivors."""
     module = importlib.import_module("flowqubo.reformulate")
     whole = 1 << solvers._CHUNK_BITS
     assert il_reform.source.num_vars == 24
@@ -667,20 +668,20 @@ def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
 
     def reading_rows(checks, codes):
         if codes.size == whole:
-            feasible_reads.append(int(codes[0]) // whole)
+            feasible_reads.append(codes.size)
         return rows(checks, codes)
 
     def reading_energies(scan, codes, bound=np.inf):
         if bound < np.inf:
             assert codes.size == whole
-            threshold_reads.append(int(codes[0]) // whole)
+            threshold_reads.append(codes.size)
         return energies(scan, codes, bound)
 
     monkeypatch.setattr(module, "_feasible_codes", reading_rows)
     monkeypatch.setattr(module, "_completion_energies", reading_energies)
     assert verify(il_reform).passed
-    assert 0 < len(feasible_reads) <= 21
-    assert 0 < len(threshold_reads) <= 21
+    assert 0 < sum(feasible_reads) <= 21 << 14
+    assert 0 < sum(threshold_reads) <= 21 << 14
 
 
 def test_verify_fails_without_feasible_point():

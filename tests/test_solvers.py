@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -117,6 +118,17 @@ def test_malformed_sample_files_rejected(tmp_path, mutate):
         json.dump(base, fh)
     with pytest.raises(SampleFormatError):
         SampleSet.load(path)
+
+
+@pytest.mark.parametrize("field, what", [
+    ("energy", "record 0: energy must be a finite number"),
+    ("objective", "record 0: objective must be a finite number or null"),
+])
+def test_sample_number_out_of_float_range_names_the_field(field, what):
+    data = SampleSet.build([SampleRecord((0, 1), 1.0)], "x").to_json_dict()
+    data["records"][0][field] = 10 ** 400
+    with pytest.raises(SampleFormatError, match=re.escape(what)):
+        SampleSet.from_json_dict(data)
 
 
 def test_import_samples_checks_energies(tmp_path):
