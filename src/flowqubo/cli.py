@@ -43,6 +43,7 @@ from .metrics import (
     AllFeasibleTarget,
     OptimalityTarget,
     ParetoPoint,
+    _with_coverage,
     build_ttt_report,
     diversity,
     pareto_front,
@@ -233,12 +234,15 @@ def _cmd_report(args) -> int:
             raise ModelError("--reference is required for a feasibility target")
         feasible_target = AllFeasibleTarget(reference=reference, program=program)
 
-    report = build_ttt_report(samples, s=args.s,
-                              optimal_target=optimal_target,
-                              feasible_target=feasible_target)
-    # a feasible sample configuration foreign to the reference exits 2 here,
-    # before anything is written
-    div = diversity(samples, reference, program) if reference is not None else None
+    report = build_ttt_report(samples, s=args.s, optimal_target=optimal_target)
+    # one diversity report gives the coverage and diversity.json; a feasible
+    # sample configuration foreign to the reference exits 2 here, before
+    # anything is written
+    div = None
+    if feasible_target is not None:
+        report, div = _with_coverage(report, samples, feasible_target)
+    elif reference is not None:
+        div = diversity(samples, reference, program)
     outdir = _out_dir(args)
     write_ttt_csv([report], outdir / "ttt.csv", s=args.s)
     _echo_run_config(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
@@ -119,13 +119,13 @@ def _feasible_configurations(samples: SampleSet, program: BinaryProgram) -> dict
 
 
 def _coverage(samples: SampleSet, target: AllFeasibleTarget):
-    """Observed coverage estimate, found count and total, from :func:`diversity`."""
+    """Observed coverage estimate and the :func:`diversity` report it is
+    read from."""
     if not samples.records:
         raise ModelError("cannot estimate success from an empty sample set")
     report = diversity(samples, target.reference, target.program)
     p = 1.0 if report.found_count == report.total else 0.0
-    return (SuccessEstimate(p=p, ci=(p, p), method="coverage"),
-            report.found_count, report.total)
+    return SuccessEstimate(p=p, ci=(p, p), method="coverage"), report
 
 
 def estimate_success(samples: SampleSet, target) -> SuccessEstimate:
@@ -251,22 +251,28 @@ def build_ttt_report(
     feasible_target: AllFeasibleTarget | None = None,
 ) -> TttReport:
     tau = samples.tau
-    p_opt = p_feas = ttt_opt = ttt_feas = None
-    coverage_found = coverage_total = None
+    p_opt = ttt_opt = None
     if optimal_target is not None:
         p_opt = estimate_success(samples, optimal_target).p
         if tau is not None:
             # tau times the whole batch of reads, so the hit rate is per batch,
             # as the coverage p_feas already is
             ttt_opt = ttt(tau, 1.0 - (1.0 - p_opt) ** samples.num_reads, s)
+    report = TttReport(solver=samples.solver, s=s, tau=tau, p_opt=p_opt, ttt_opt=ttt_opt)
     if feasible_target is not None:
-        estimate, coverage_found, coverage_total = _coverage(samples, feasible_target)
-        p_feas = estimate.p
-        if tau is not None:
-            ttt_feas = ttt(tau, p_feas, s)
-    return TttReport(solver=samples.solver, s=s, tau=tau, p_opt=p_opt,
-                     p_feas=p_feas, ttt_opt=ttt_opt, ttt_feas=ttt_feas,
-                     coverage_found=coverage_found, coverage_total=coverage_total)
+        report = _with_coverage(report, samples, feasible_target)[0]
+    return report
+
+
+def _with_coverage(report: TttReport, samples: SampleSet,
+                   target: AllFeasibleTarget) -> tuple[TttReport, DiversityReport]:
+    """``report`` with the fields of the all-feasible ``target`` filled in,
+    and the :func:`diversity` report of ``samples`` they are read from, so
+    a caller that writes both reads the reference once."""
+    estimate, found = _coverage(samples, target)
+    ttt_feas = None if report.tau is None else ttt(report.tau, estimate.p, report.s)
+    return replace(report, p_feas=estimate.p, ttt_feas=ttt_feas,
+                   coverage_found=found.found_count, coverage_total=found.total), found
 
 
 def _cell(value) -> str:

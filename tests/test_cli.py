@@ -22,7 +22,7 @@ from flowqubo import (
     load_default_il_space,
     simulated_annealing,
 )
-from flowqubo import solvers
+from flowqubo import cli, metrics, solvers
 from flowqubo.cli import main
 
 
@@ -349,6 +349,32 @@ def test_report_with_reference(tmp_path, capsys):
     assert div["rank_hits"]["1"] == 1
     stdout = capsys.readouterr().out
     assert "coverage=36/36" in stdout
+
+
+@pytest.mark.parametrize("target", ["opt", "feas", "both"])
+def test_report_reads_the_reference_once(tmp_path, monkeypatch, target):
+    """One diversity report gives both the coverage of ttt.csv and
+    diversity.json."""
+    out_oracle = tmp_path / "oracle"
+    assert main(["solve", "--case", "ds", "--solver", "oracle",
+                 "--out", str(out_oracle)]) == 0
+    calls = []
+    read = metrics.diversity
+
+    def counting(*args):
+        calls.append(args)
+        return read(*args)
+
+    for module in (metrics, cli):
+        monkeypatch.setattr(module, "diversity", counting)
+    samples = str(out_oracle / "samples.json")
+    out_report = tmp_path / "report"
+    assert main(["report", "--samples", samples, "--reference", samples,
+                 "--target", target, "--case", "ds", "--out", str(out_report)]) == 0
+    assert len(calls) == 1
+    assert json.loads((out_report / "diversity.json").read_text())["total"] == 36
+    coverage = (out_report / "ttt.csv").read_text().splitlines()[1].split(",")[-1]
+    assert coverage == ("-" if target == "opt" else "36/36")
 
 
 def test_report_s_column_follows_flag(tmp_path):

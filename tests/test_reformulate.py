@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_solvers import count_row_evaluators, solvable_programs
+from test_solvers import (
+    _assert_matches_float_matrix_reference,
+    count_row_evaluators,
+    solvable_programs,
+)
 
 from flowqubo import (
     BinaryProgram,
@@ -682,6 +686,103 @@ def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
     assert verify(il_reform).passed
     assert 0 < sum(feasible_reads) <= 21 << 14
     assert 0 < sum(threshold_reads) <= 21 << 14
+
+
+@st.composite
+def leading_row_programs(draw):
+    """A program of 6-12 variables and a chunk size of 2^1 to 2^4 codes, in
+    which one or two rows read only the leading variables, those on bits at
+    or above the chunk's: one-value rows of every sense, some with a
+    product of two leading variables, equality rows with coefficients in
+    tenths, and equality rows whose right-hand side no code meets, placed
+    anywhere among up to two planted rows over every variable."""
+    n = draw(st.integers(min_value=6, max_value=12))
+    chunk_bits = draw(st.integers(min_value=1, max_value=4))
+    names = tuple(f"x{i}" for i in range(n))
+    leading = names[:n - chunk_bits]
+    witness = dict(zip(names, draw(st.tuples(*([st.integers(0, 1)] * n)))))
+    coeff = st.integers(min_value=-4, max_value=4)
+
+    def planted(lin, products, sense, offset):
+        lhs = sum(c * witness[u] for u, c in lin.items()) \
+            + sum(q * witness[u] * witness[v] for u, v, q in products)
+        rhs = lhs + offset if sense != ">=" else lhs - offset
+        return Constraint(lin, sense, float(rhs), products=products)
+
+    cons = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lin = {name: float(draw(coeff)) for name in names}
+        cons.append(planted(lin, (), draw(st.sampled_from(("=", "<=", ">="))),
+                            draw(st.integers(0, 2))))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        over = draw(st.lists(st.sampled_from(leading), min_size=1, unique=True))
+        kind = draw(st.sampled_from(("integer", "product", "tenths", "missed")))
+        if kind == "tenths":
+            lin = {name: draw(st.integers(-20, 20)) / 10 for name in over}
+        else:
+            lin = {name: float(draw(coeff)) for name in over}
+        products = ()
+        if kind == "product":
+            u, v = draw(st.lists(st.sampled_from(leading), min_size=2, max_size=2,
+                                 unique=True))
+            products = ((u, v, float(draw(st.integers(-3, 3)) or 1)),)
+        if kind in ("tenths", "missed"):
+            row = planted(lin, products, "=", 0.5 if kind == "missed" else 0)
+        else:
+            row = planted(lin, products, draw(st.sampled_from(("=", "<=", ">="))),
+                          draw(st.integers(0, 2)))
+        cons.insert(draw(st.integers(0, len(cons))), row)
+    objective = {name: float(draw(coeff)) for name in names}
+    projection = draw(st.lists(st.sampled_from(names), unique=True))
+    return BinaryProgram(var_names=names, objective=objective, constraints=tuple(cons),
+                         projection=tuple(projection)), chunk_bits
+
+
+_SIX = tuple(f"x{i}" for i in range(6))
+
+
+# at chunks of 2^2 codes x0-x3 lead: rows 0, 2, 3 and the last read only
+# them, one of each sense, one in tenths and one with a product; the second
+# program's first row meets no code
+@example(case=(BinaryProgram(
+    var_names=_SIX, objective={"x0": 1.0, "x1": -2.0, "x2": 1.0, "x3": -1.0, "x5": -1.0},
+    constraints=(Constraint({"x0": 1.0, "x1": 1.0}, "=", 1.0),
+                 Constraint({name: 1.0 for name in _SIX}, "<=", 3.0),
+                 Constraint({"x1": 0.1, "x2": 0.2, "x3": -0.3}, "=", 0.0),
+                 Constraint({"x2": 2.0}, "<=", 2.0, products=(("x0", "x3", 1.0),)),
+                 Constraint({"x1": 1.0, "x3": 1.0}, ">=", 1.0))),
+    2))
+@example(case=(BinaryProgram(
+    var_names=_SIX, objective={name: 1.0 for name in _SIX},
+    constraints=(Constraint({"x0": 1.0, "x1": 2.0}, "=", 1.5),
+                 Constraint({"x4": 1.0, "x5": 1.0}, ">=", 1.0))),
+    2))
+@given(case=leading_row_programs())
+@settings(max_examples=100, deadline=None)
+def test_one_value_rows_match_the_dense_references(case):
+    """With rows that read only a chunk's high bits, the oracle matches the
+    float matrix reference, verify gives the report of a scan of one chunk
+    field for field, and every chunk holding a feasible code passes
+    verify's chunk test.  With integer coefficients that report is the
+    dense reference's; in tenths the two sum energies in different orders,
+    so only their feasible counts are compared."""
+    prog, chunk_bits = case
+    n = prog.num_vars
+    reform = reformulate(prog)
+    one_chunk = verify(reform)
+    reference = _reference_verify(reform)
+    if all(float(c).is_integer() for con in prog.constraints for c in con.linear.values()):
+        assert one_chunk == reference
+    feasible = [k for k, bits in enumerate(itertools.product((0, 1), repeat=n))
+                if prog.is_feasible(bits)]
+    assert one_chunk.feasible_count == reference.feasible_count == len(feasible)
+    with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
+        assert any(solvers._one_value(lhs, n) for lhs, *_ in solvers._program_tables(prog).rows)
+        found = _assert_matches_float_matrix_reference(prog)
+        assert verify(reform) == one_chunk
+        keep = _ScanTables(reform).feasible_chunks()
+    assert all(keep[k >> chunk_bits] for k in feasible)
+    assert (found.status == "infeasible") == (not feasible)
 
 
 def test_verify_fails_without_feasible_point():

@@ -299,6 +299,29 @@ def test_brute_force_makes_one_row_evaluator_per_row(il_program, monkeypatch):
     assert len(made) == 2 * len(il_program.constraints)
 
 
+def test_brute_force_reads_21_of_1024_il_chunks(il_program, ds_program, monkeypatch):
+    """The oracle decides the rows that read only a chunk's high bits once
+    per chunk, and builds codes only for the chunks they all accept: on il
+    at most 344,064 of its 2^24 codes reach the row checks, 21 chunks of
+    2^14, and on ds 3 chunks of its 32.  The bound is in codes, so it holds
+    at any chunk size."""
+    whole = 1 << solvers._CHUNK_BITS
+    reads = []
+    rows = solvers._feasible_codes
+
+    def reading_rows(checks, codes):
+        if codes.size == whole:
+            reads.append(codes.size)
+        return rows(checks, codes)
+
+    monkeypatch.setattr(solvers, "_feasible_codes", reading_rows)
+    for program, chunks in ((il_program, 21), (ds_program, 3)):
+        assert program.num_vars > solvers._CHUNK_BITS
+        reads.clear()
+        assert brute_force(program).records
+        assert 0 < sum(reads) <= chunks << 14
+
+
 @pytest.mark.parametrize("mode", ["optimal", "enumerate_all", "pool"])
 def test_branch_and_bound_makes_no_row_evaluator(mode, ds_program, monkeypatch):
     made = count_row_evaluators(monkeypatch)
