@@ -17,9 +17,7 @@ feasible assignments, and a second drops every assignment whose objective
 plus product-free row penalties, a lower bound on its completion energy,
 already exceeds what a dominance failure or the QUBO minimum can reach.
 Both passes skip the chunks of codes whose row spans already rule out every
-code in them; a row that reads only a chunk's high bits has one value there,
-its span on both sides.  Every slack decision reads the sign map
-``_SLACK_SIGN``.
+code in them.  Every slack decision reads the sign map ``_SLACK_SIGN``.
 """
 
 from __future__ import annotations
@@ -368,14 +366,13 @@ class _ScanRow(NamedTuple):
     """What the scan in :func:`verify` reads of one compiled row; the first
     three fields are what :func:`~flowqubo.solvers._feasible_codes` reads.
     ``evaluate`` and ``span`` are :func:`~flowqubo.solvers._row_evaluator`'s
-    on ``form``: a one-value row's ``evaluate`` gives one float per chunk.
-    A product-free row has no ``pairs``."""
+    on ``form``.  A product-free row has no ``pairs``."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     sense: str
     rhs: float
     form: LinearForm                            # the compiled left-hand side
-    span: tuple[np.ndarray, np.ndarray] | None  # (lo, hi) by chunk; None unless split or one-value
+    span: tuple[np.ndarray, np.ndarray] | None  # (lo, hi) by chunk; None unless split
     weight: float
     slack: tuple[int, ...]                      # QUBO indices of the slack bits
     pairs: Mapping[tuple[int, int], float]      # merged coefficient by source pair (i, j)
@@ -384,11 +381,9 @@ class _ScanRow(NamedTuple):
     def max_slack(self) -> float:
         return float((1 << len(self.slack)) - 1)
 
-    def residual(self, codes: np.ndarray) -> np.ndarray | float:
+    def residual(self, codes: np.ndarray) -> np.ndarray:
         """lhs - rhs before slack and auxiliaries, on chunk codes: a product
-        row's linear part, since auxiliaries stand in for its products.  A
-        product-free one-value row gives one float for the chunk, as its
-        evaluator does (:func:`~flowqubo.solvers._row_evaluator`)."""
+        row's linear part, since auxiliaries stand in for its products."""
         if self.pairs:
             return self.form._replace(const=-float(self.rhs), products=()).values(codes)
         return self.evaluate(codes) - self.rhs
@@ -667,22 +662,19 @@ def verify(reform: Reformulation) -> VerificationReport:
     compiles, one :class:`_ScanRow` each, made when the call starts with the
     row's evaluator, the second taking a product-free row's residual as
     that evaluator's value minus ``rhs``, so each row has one low-bit table
-    per call, split at bit ``_CHUNK_BITS`` as in the oracle scan.  A
-    one-value row, which reads no bit below ``_CHUNK_BITS``, has one value
-    per chunk, as in the oracle scan: it keeps all of a chunk's codes or
-    none, and adds one penalty per chunk if it has no product.  Any other
+    per call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
     form, the objective included, is summed term by term.
 
-    Each pass first tests whole chunks against the span of each split or
-    one-value row over the chunk, taken from the same evaluator, and builds
-    codes only for the chunks it keeps: the first skips a chunk where some
-    row's span holds no value the row accepts
-    (:meth:`_ScanTables.feasible_chunks`), the second one where a lower
-    bound on every code's penalties already exceeds ``T``
+    Each pass first tests whole chunks against the span of each split row
+    over the chunk, taken from the same split, and builds codes only for the
+    chunks it keeps: the first skips a chunk where some row's span holds no
+    value the row accepts (:meth:`_ScanTables.feasible_chunks`), the second
+    one where a lower bound on every code's penalties already exceeds ``T``
     (:meth:`_ScanTables.chunks_within`).  A skipped chunk holds no code the
     pass would have kept, so the reports are those of an exhaustive scan.
-    The oracle skips only the chunks its one-value rows reject, on each
-    code's own value; it reads no span of a row that varies within a chunk.
+    The oracle skips only the chunks that an integral one-value row
+    rejects, on the value each of their codes has; it reads no span of a
+    row that varies within a chunk.
     """
     n = reform.source.num_vars
     if n > _VAR_LIMIT:
@@ -763,9 +755,7 @@ def _complete_assignment(reform: Reformulation, scan: _ScanTables,
     codes = np.array([code], dtype=np.int64)
     full = _bit_rows(codes, n)[0].tolist() + [0] * (reform.qubo.num_vars - n)
     bits = {i: (codes >> (n - 1 - i)) & 1 for pair in reform.aux_products for i in pair}
-    # a product-free one-value row's residual is one float: give it the shape
-    # of codes, as the other rows' residuals have
-    residual = [np.broadcast_to(row.residual(codes), codes.shape) for row in scan.rows]
+    residual = [row.residual(codes) for row in scan.rows]
 
     w_chosen = {}
     for component in scan.components:

@@ -10,22 +10,20 @@ and :mod:`ip`:
   row evaluated only on the codes that survived the rows before it; the same
   kernel feeds :func:`~flowqubo.reformulate.verify`, and
   :func:`branch_and_bound` searches the same compiled rows.  The codes of a
-  chunk share their high bits.  A one-value row, one that reads none of a
-  chunk's low ``_CHUNK_BITS`` bits (:func:`_one_value`), has one value per
-  chunk, exact for each of its codes: the oracle decides those rows for all
-  chunks at once and builds codes only for the chunks they accept, 21 of
-  il's 1024, as ``verify`` does.  Any other row whose coefficients are
-  integers is split at the chunk bits: its high part is one number per
-  chunk and its low part a table of ``2^_CHUNK_BITS`` sums, read by one
-  gather per row; :func:`_row_evaluator` builds one per row when a scan
-  call starts.  Only the evaluation is split (meet-in-the-middle style,
-  after Horowitz & Sahni, J. ACM 21(2):277, 1974): every code gets every
-  row value until a row rejects it, a one-value row's value standing for
-  each of its chunk's codes.  The oracle skips no chunk on a bound: it
-  reads a row once per chunk only where that value is each code's own, and
-  never reads the span of a row that varies within a chunk.  ``verify``
-  also skips the chunks whose row spans rule out every code.  Rows with
-  other coefficients, and scans of one chunk, evaluate term by term,
+  chunk share their high bits, so a row whose coefficients are integers is
+  split there: its high part is one number per chunk and its low part a table
+  of ``2^_CHUNK_BITS`` sums, read by one gather per row;
+  :func:`_row_evaluator` builds one per row when a scan call starts.  Only
+  the evaluation is split (meet-in-the-middle style, after Horowitz & Sahni,
+  J. ACM 21(2):277, 1974).  A one-value row reads none of a chunk's low bits
+  (:func:`_one_value`); split, its span over a chunk is one exact value,
+  each code's own.  The oracle decides split one-value rows for all chunks
+  at once and builds codes only for the chunks they accept, 21 of il's
+  1024, as ``verify`` does; every other row value is computed for every code
+  until a row rejects it.  The oracle skips no chunk on a bound, since it never
+  reads the span of a row that varies within a chunk; ``verify`` skips the
+  chunks whose row spans rule out every code.  Rows with other coefficients,
+  and scans of one chunk, evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
   greedily and flips one colour class per numpy step, all reads at once,
@@ -374,46 +372,34 @@ def _one_value(form: LinearForm, n: int) -> bool:
 
 
 def _row_evaluator(form: LinearForm, n: int) -> tuple[
-        Callable[[np.ndarray], np.ndarray | float],
+        Callable[[np.ndarray], np.ndarray],
         Callable[[], tuple[np.ndarray, np.ndarray]] | None]:
     """``form.values`` for one scan call over codes of ``n`` variables, and
     the span of those values over each chunk.
 
     The evaluator takes non-empty codes that lie in one aligned chunk of
     ``2^_CHUNK_BITS`` (a chunk of :func:`_code_chunks` or a subset of one).
-    The codes of such a chunk share their high bits.  A one-value row
-    (:func:`_one_value`) is one :meth:`LinearForm.value` per chunk: its
-    evaluator returns that one float, for any coefficients, since it is
-    summed as :meth:`LinearForm.values` sums each code's.  Otherwise, when
-    ``n`` exceeds ``_CHUNK_BITS``, a form whose constant and coefficients
-    are integers with an absolute sum below 2^53 is split there: the
-    constant and the high-bit terms are one :meth:`LinearForm.value` per
-    chunk, and the low-bit terms are read from a table of their
-    ``2^_CHUNK_BITS`` sums, built here.  Every partial sum of such a form is
-    an exact integer, so the split gives the floats of
-    :meth:`LinearForm.values` in any summation order.  A product with one
-    bit on each side is still summed term by term; any other form, and any
-    scan of one chunk, keeps :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is
-    read at each call.
+    The codes of such a chunk share their high bits, so when ``n`` exceeds
+    ``_CHUNK_BITS``, a form whose constant and coefficients are integers
+    with an absolute sum below 2^53 is split there: the constant and the
+    high-bit terms are one :meth:`LinearForm.value` per chunk, and the
+    low-bit terms are read from a table of their ``2^_CHUNK_BITS`` sums,
+    built here.  Every partial sum of such a form is an exact integer, so
+    the split gives the floats of :meth:`LinearForm.values` in any summation
+    order.  A product with one bit on each side is still summed term by
+    term; any other form, and any scan of one chunk, keeps
+    :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is read at each call.
 
-    Returns ``(evaluate, span)``.  ``span()`` gives two arrays, indexed by
-    chunk, that bound every value of the chunk's codes.  For a one-value
-    row both are the array of its values, the floats the evaluator returns.
-    For a split form they are the chunk's high part plus the least and the
-    greatest entry of the low-bit table plus the negative, respectively
-    positive, cross products; these are exact integers too.  Any other form
-    has ``span`` None.
+    Returns ``(evaluate, span)``.  For a split form ``span()`` gives two
+    arrays, indexed by chunk, that bound every value of the chunk's codes:
+    the chunk's high part plus the least and the greatest entry of the
+    low-bit table plus the negative, respectively positive, cross products.
+    These are exact integers too.  A split one-value row (:func:`_one_value`)
+    has an all-zero table and no cross product, so both arrays are its high
+    part: the value each of the chunk's codes has.  Any other form has
+    ``span`` None.
     """
     cut = _CHUNK_BITS
-    if _one_value(form, n):
-        def value(codes: np.ndarray) -> float:
-            return form.value(int(codes[0]))
-
-        def chunk_values() -> tuple[np.ndarray, np.ndarray]:
-            values = form.values(np.arange(0, 1 << n, 1 << cut, dtype=np.int64))
-            return values, values
-
-        return value, chunk_values
     coeffs = [form.const] + [c for *_, c in form.terms + form.products]
     if n <= cut or not all(float(c).is_integer() for c in coeffs) \
             or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
@@ -480,20 +466,14 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     Each row is evaluated only on the codes that survived the rows before
     it, and drops the ones it rejects.  An integral row's evaluator reads
     its low bits from a table built for the call (:func:`_row_evaluator`);
-    that changes how a value is summed, not which codes get one.  A
-    one-value row's evaluator gives one value for the chunk, exact for each
-    of its codes, so the row keeps all of them or none.  Every code is
-    still tested until a row rejects it, so the scan stays exhaustive over
-    the codes it is given.
+    that changes how a value is summed, not which codes get one.  Every
+    code is still tested until a row rejects it, so the scan stays
+    exhaustive over the codes it is given.
     """
     for evaluate, sense, rhs, *_ in checks:
         if not codes.size:
             break
-        holds = row_holds(sense, evaluate(codes), rhs)
-        if np.ndim(holds):
-            codes = codes[holds]
-        elif not holds:
-            codes = codes[:0]
+        codes = codes[row_holds(sense, evaluate(codes), rhs)]
     return codes
 
 
@@ -511,11 +491,12 @@ def brute_force(model) -> SampleSet:
     objective.
 
     Both walk the integer codes of all ``2^n`` assignments in chunks of
-    ``2^_CHUNK_BITS``.  For a program, a one-value row (:func:`_one_value`,
-    a row that reads no bit below ``_CHUNK_BITS``) has one value per chunk,
-    exact for each of its codes; those rows are decided for every chunk at
-    once, and codes are built only for the chunks all of them accept.  On
-    those codes every other row is checked, equality rows first, each row
+    ``2^_CHUNK_BITS``.  For a program, a split one-value row (a row with
+    integer coefficients that reads no bit below ``_CHUNK_BITS``,
+    :func:`_one_value`) has one value per chunk, exact for each of its
+    codes; those rows are decided for every chunk at once from that value,
+    and codes are built only for the chunks all of them accept.  On those
+    codes every other row is checked, equality rows first, each row
     on the survivors of the rows before it (:func:`_feasible_codes`); the
     objective is evaluated, term by term, only on the codes that survive
     every row, and a chunk with no survivor costs nothing more.  No chunk
@@ -557,13 +538,13 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
     n = program.num_vars
     t0 = time.perf_counter()
     tables = _program_tables(program)
-    # each one-value row is decided for every chunk at once, from the value
-    # it has on all of the chunk's codes; the other rows check codes
+    # a split one-value row's span is the value all of a chunk's codes have:
+    # it decides the row for every chunk at once; the other rows check codes
     keep = np.ones(_chunk_count(n), dtype=bool)
     checks = []
     for lhs, sense, rhs in tables.rows:
         evaluate, span = _row_evaluator(lhs, n)
-        if _one_value(lhs, n):
+        if span is not None and _one_value(lhs, n):
             keep &= row_holds(sense, span()[0], rhs)
         else:
             checks.append((evaluate, sense, rhs))
