@@ -11,13 +11,14 @@ the feasible optima of the source program.
 certifies that model by exhaustive scan: it enumerates the source
 assignments and minimizes the energy over slack and auxiliary completions in
 closed form, so a QUBO beyond the usual exhaustive bound is still checkable.
-The scan runs on the oracle's survivor-filtered code kernel and reads one
-record per compiled row (:class:`_ScanRow`): a first pass completes only the
-feasible assignments, and a second drops every assignment whose objective
-plus product-free row penalties, a lower bound on its completion energy,
-already exceeds what a dominance failure or the QUBO minimum can reach.
-Both passes skip the chunks of codes whose row spans already rule out every
-code in them.  Every slack decision reads the sign map ``_SLACK_SIGN``.
+The scan reads one record per compiled row (:class:`_ScanRow`): a first
+pass completes only the feasible assignments, which the oracle's scan
+yields, and a second drops every assignment whose objective plus
+product-free row penalties, a lower bound on its completion energy, already
+exceeds what a dominance failure or the QUBO minimum can reach.  Both passes
+read a chunk of codes only where the one-value rows of the oracle's rule
+(:mod:`~flowqubo.solvers`) leave it a chance.  Every slack decision reads
+the sign map ``_SLACK_SIGN``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ExhaustiveLimitError,
     ReformulationError,
 )
-from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint, row_holds
+from .ip import _FEAS_TOL, BinaryProgram, Constraint, normalize_constraint
 from .qubo import QuboModel
 from .solvers import (
     _VAR_LIMIT,
@@ -41,9 +42,11 @@ from .solvers import (
     SampleRecord,
     SampleSet,
     _bit_rows,
-    _chunk_count,
+    _chunk_starts,
     _code_chunks,
     _feasible_codes,
+    _feasible_scan,
+    _one_value,
     _program_tables,
     _row_evaluator,
 )
@@ -364,18 +367,17 @@ def _check_layout(reform: Reformulation,
 
 class _ScanRow(NamedTuple):
     """What the scan in :func:`verify` reads of one compiled row; the first
-    three fields are what :func:`~flowqubo.solvers._feasible_codes` reads.
-    ``evaluate`` and ``span`` are :func:`~flowqubo.solvers._row_evaluator`'s
-    on ``form``.  A product-free row has no ``pairs``."""
+    four fields are what :func:`~flowqubo.solvers._feasible_scan` reads.
+    ``evaluate`` is :func:`~flowqubo.solvers._row_evaluator`'s on ``form``.
+    A product-free row has no ``pairs``."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     sense: str
     rhs: float
-    form: LinearForm                            # the compiled left-hand side
-    span: tuple[np.ndarray, np.ndarray] | None  # (lo, hi) by chunk; None unless split
+    form: LinearForm                        # the compiled left-hand side
     weight: float
-    slack: tuple[int, ...]                      # QUBO indices of the slack bits
-    pairs: Mapping[tuple[int, int], float]      # merged coefficient by source pair (i, j)
+    slack: tuple[int, ...]                  # QUBO indices of the slack bits
+    pairs: Mapping[tuple[int, int], float]  # merged coefficient by source pair (i, j)
 
     @property
     def max_slack(self) -> float:
@@ -421,9 +423,8 @@ class _ScanTables:
         self.rho = reform.rho
         self.rows = []
         for ci, (form, sense, rhs) in zip(tables.order, tables.rows):
-            evaluate, span = _row_evaluator(form, self.n)
             self.rows.append(_ScanRow(
-                evaluate, sense, rhs, form, None if span is None else span(),
+                _row_evaluator(form, self.n), sense, rhs, form,
                 reform.constraint_weight(normalized[ci].label),
                 reform.slack_groups[ci], con_pairs[ci]))
 
@@ -447,39 +448,24 @@ class _ScanTables:
             settings = _bit_rows(np.arange(1 << len(members)), len(members)).tolist()
             self.components.append((members, row_ids, settings))
 
-    def feasible_chunks(self) -> np.ndarray:
-        """One bool per chunk of :func:`~flowqubo.solvers._code_chunks`:
-        False when some row fails its own test at the point of its span
-        nearest ``rhs``.  Rounding is monotone, so every code of such a chunk
-        fails that row."""
-        keep = np.ones(_chunk_count(self.n), dtype=bool)
-        for row in self.rows:
-            if row.span is not None:
-                keep &= row_holds(row.sense, np.clip(row.rhs, *row.span), row.rhs)
-        return keep
-
     def chunks_within(self, bound: float) -> np.ndarray:
         """One bool per chunk: False when every code of the chunk would be
         dropped by :func:`_completion_energies` at ``bound``.
 
-        A product-free row's penalty is 0 at the integer residuals of its
-        zero-penalty range, from 0 to ``-sign * max_slack`` (``_SLACK_SIGN``),
-        and grows with the distance outside it.  So the penalty at the
-        residual of the row's span nearest that range, or 0 where they meet,
-        is at most each code's own.  These are summed in checking order and
-        tested against ``bound`` after each row, plus ``floor``, as
-        :func:`_completion_energies` sums and tests, so a chunk fails only
-        where each of its codes fails, rounding included.
+        A product-free one-value row (the rule in :mod:`~flowqubo.solvers`)
+        has one penalty per chunk, each of its codes' own.  These are summed
+        in checking order and tested, plus ``floor``, against ``bound`` after
+        each product-free row, where :func:`_completion_energies` tests.
+        Every other penalty is at least 0 and float addition is monotone, so
+        the sum never exceeds what that function tests for any code of the
+        chunk, and a chunk fails only where each of its codes fails.
         """
-        keep = np.ones(_chunk_count(self.n), dtype=bool)
-        total = np.zeros(keep.shape)
+        starts = _chunk_starts(self.n)
+        keep, total = np.ones(starts.shape, dtype=bool), np.zeros(starts.shape)
         for row in (row for row in self.rows if not row.pairs):
-            if row.span is not None:
-                lo, hi = (side - row.rhs for side in row.span)
-                end = -_SLACK_SIGN[row.sense] * row.max_slack
-                nearest = np.where(lo > max(0.0, end), lo, np.minimum(hi, min(0.0, end)))
-                total = total + _row_penalty(row, nearest)
-            keep &= total + self.floor <= bound
+            if _one_value(row.form, self.n):
+                total = total + _row_penalty(row, row.form.values(starts) - row.rhs)
+            keep = total + self.floor <= bound
         return keep
 
 
@@ -605,8 +591,9 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
     code is dropped as soon as that lower bound exceeds ``bound``, and once
     every code is dropped nothing more is evaluated.  ``codes`` lie in one
     aligned chunk of ``2^_CHUNK_BITS``, as the row evaluators require.
-    :meth:`_ScanTables.chunks_within` makes the same test for a whole chunk
-    at once, so :func:`verify` passes only the chunks that can keep a code.
+    :meth:`_ScanTables.chunks_within` tests a lower bound of that sum for a
+    whole chunk at once, so :func:`verify` passes only the chunks that can
+    keep a code.
     Returns the kept codes, their objectives and their energies.
     """
     energy = np.zeros(codes.shape)
@@ -649,8 +636,10 @@ def verify(reform: Reformulation) -> VerificationReport:
     raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
 
     The scan makes two survivor-filtered passes over the integer codes of
-    the source assignments.  The first keeps the feasible codes, row by row
-    as in :func:`~flowqubo.solvers.brute_force`, and completes only those.
+    the source assignments.  The first completes only the feasible codes,
+    which the oracle's own scan yields
+    (:func:`~flowqubo.solvers._feasible_scan`), so it reads exactly the
+    codes :func:`~flowqubo.solvers.brute_force` reads.
     That fixes ``T``, the larger of the feasible optimum plus ``_FEAS_TOL``
     and the lowest feasible completion energy: no code above ``T`` can be a
     dominance failure or the QUBO argmin.  The second pass drops every code
@@ -663,18 +652,11 @@ def verify(reform: Reformulation) -> VerificationReport:
     row's evaluator, the second taking a product-free row's residual as
     that evaluator's value minus ``rhs``, so each row has one low-bit table
     per call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
-    form, the objective included, is summed term by term.
-
-    Each pass first tests whole chunks against the span of each split row
-    over the chunk, taken from the same split, and builds codes only for the
-    chunks it keeps: the first skips a chunk where some row's span holds no
-    value the row accepts (:meth:`_ScanTables.feasible_chunks`), the second
-    one where a lower bound on every code's penalties already exceeds ``T``
-    (:meth:`_ScanTables.chunks_within`).  A skipped chunk holds no code the
-    pass would have kept, so the reports are those of an exhaustive scan.
-    The oracle skips only the chunks that an integral one-value row
-    rejects, on the value each of their codes has; it reads no span of a
-    row that varies within a chunk.
+    form, the objective included, is summed term by term.  The second pass
+    skips a chunk whose one-value rows alone, by the oracle's rule, already
+    put every code's penalties above ``T`` (:meth:`_ScanTables.chunks_within`).
+    A skipped chunk holds no code either pass would have kept, so the
+    reports are those of an exhaustive scan.
     """
     n = reform.source.num_vars
     if n > _VAR_LIMIT:
@@ -688,10 +670,7 @@ def verify(reform: Reformulation) -> VerificationReport:
     feasible_opt = np.inf
     feasible_min_energy = np.inf
     exactness = []
-    for codes in _code_chunks(n, scan.feasible_chunks()):
-        codes = _feasible_codes(scan.rows, codes)
-        if not codes.size:
-            continue
+    for codes in _feasible_scan(scan.rows, n):
         _, obj, energy = _completion_energies(scan, codes)
         feasible_count += codes.size
         feasible_opt = min(feasible_opt, float(obj.min()))

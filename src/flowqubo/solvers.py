@@ -6,23 +6,20 @@ and :mod:`ip`:
 * :func:`brute_force` — exhaustive oracle, exact by construction.  For a QUBO
   it returns every assignment, lowest energy first, so ``records[:k]`` are
   the ``k`` lowest.  It walks the integer codes of all assignments in aligned
-  chunks; for a program it filters them row by row, equality rows first, each
-  row evaluated only on the codes that survived the rows before it; the same
-  kernel feeds :func:`~flowqubo.reformulate.verify`, and
-  :func:`branch_and_bound` searches the same compiled rows.  The codes of a
-  chunk share their high bits, so a row whose coefficients are integers is
-  split there: its high part is one number per chunk and its low part a table
-  of ``2^_CHUNK_BITS`` sums, read by one gather per row;
-  :func:`_row_evaluator` builds one per row when a scan call starts.  Only
-  the evaluation is split (meet-in-the-middle style, after Horowitz & Sahni,
-  J. ACM 21(2):277, 1974).  A one-value row reads none of a chunk's low bits
-  (:func:`_one_value`); split, its span over a chunk is one exact value,
-  each code's own.  The oracle decides split one-value rows for all chunks
-  at once and builds codes only for the chunks they accept, 21 of il's
-  1024, as ``verify`` does; every other row value is computed for every code
-  until a row rejects it.  The oracle skips no chunk on a bound, since it never
-  reads the span of a row that varies within a chunk; ``verify`` skips the
-  chunks whose row spans rule out every code.  Rows with other coefficients,
+  chunks of ``2^_CHUNK_BITS``; for a program it filters them row by row in
+  :func:`_feasible_scan`, the scan :func:`~flowqubo.reformulate.verify`
+  also reads, and :func:`branch_and_bound` searches the same compiled rows.
+  The scan knows one thing about a chunk without building its codes: a
+  one-value row, one that reads no bit below ``_CHUNK_BITS``
+  (:func:`_one_value`), has the chunk's first-code value, bit for bit, on
+  every code of the chunk, since each of its terms does and they are summed
+  in one order.  Such rows are decided once per chunk, and codes are built
+  only for the chunks they all accept, 21 of il's 1024.  Every other row
+  value is computed for every code until a row rejects it, so no chunk is
+  skipped on a bound.  A row with integer coefficients is evaluated split
+  at the same bit: its high part is one number per chunk and its low part
+  a table of ``2^_CHUNK_BITS`` sums (:func:`_row_evaluator`, meet-in-the-
+  middle style after Horowitz & Sahni, J. ACM 21(2):277, 1974); other rows,
   and scans of one chunk, evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
@@ -47,7 +44,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionError,
     EnergyMismatchError,
     ExhaustiveLimitError,
     ModelError,
@@ -289,9 +285,9 @@ def import_samples(path, qubo: QuboModel | None = None, tol: float = 1e-6) -> Sa
 # -- shared enumeration kernel ------------------------------------------------
 
 
-def _chunk_count(n: int) -> int:
-    """How many chunks :func:`_code_chunks` splits ``2^n`` codes into."""
-    return 1 << max(n - _CHUNK_BITS, 0)
+def _chunk_starts(n: int) -> np.ndarray:
+    """The first code of each chunk :func:`_code_chunks` splits ``2^n`` codes into."""
+    return np.arange(0, 1 << n, 1 << min(_CHUNK_BITS, n), dtype=np.int64)
 
 
 def _code_chunks(n: int, keep: np.ndarray | None = None):
@@ -304,9 +300,9 @@ def _code_chunks(n: int, keep: np.ndarray | None = None):
     order equals lexicographic order of the bit tuples.
     """
     step = 1 << min(_CHUNK_BITS, n)
-    for chunk in range(_chunk_count(n)):
-        if keep is None or keep[chunk]:
-            yield np.arange(chunk * step, (chunk + 1) * step, dtype=np.int64)
+    starts = _chunk_starts(n)
+    for start in (starts if keep is None else starts[keep]).tolist():
+        yield np.arange(start, start + step, dtype=np.int64)
 
 
 def _bit_rows(codes, n: int) -> np.ndarray:
@@ -363,47 +359,35 @@ class LinearForm(NamedTuple):
 
 def _one_value(form: LinearForm, n: int) -> bool:
     """Whether ``form`` is a one-value row of a scan over codes of ``n``
-    variables: the scan has more than ``_CHUNK_BITS`` variables, and no term
-    or product of the form reads a bit below ``_CHUNK_BITS``, so the form
-    has one value on each chunk.  ``_CHUNK_BITS`` is read at each call."""
+    variables (the rule in the module docstring): the scan has more than
+    ``_CHUNK_BITS`` variables, and no term or product of the form reads a
+    bit below ``_CHUNK_BITS``.  ``_CHUNK_BITS`` is read at each call."""
     cut = _CHUNK_BITS
     return n > cut and all(shift >= cut for shift, _ in form.terms) \
         and all(min(shift_u, shift_v) >= cut for shift_u, shift_v, _ in form.products)
 
 
-def _row_evaluator(form: LinearForm, n: int) -> tuple[
-        Callable[[np.ndarray], np.ndarray],
-        Callable[[], tuple[np.ndarray, np.ndarray]] | None]:
-    """``form.values`` for one scan call over codes of ``n`` variables, and
-    the span of those values over each chunk.
+def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``form.values`` for one scan call over codes of ``n`` variables.
 
     The evaluator takes non-empty codes that lie in one aligned chunk of
     ``2^_CHUNK_BITS`` (a chunk of :func:`_code_chunks` or a subset of one).
-    The codes of such a chunk share their high bits, so when ``n`` exceeds
-    ``_CHUNK_BITS``, a form whose constant and coefficients are integers
-    with an absolute sum below 2^53 is split there: the constant and the
-    high-bit terms are one :meth:`LinearForm.value` per chunk, and the
-    low-bit terms are read from a table of their ``2^_CHUNK_BITS`` sums,
-    built here.  Every partial sum of such a form is an exact integer, so
-    the split gives the floats of :meth:`LinearForm.values` in any summation
-    order.  A product with one bit on each side is still summed term by
-    term; any other form, and any scan of one chunk, keeps
-    :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is read at each call.
-
-    Returns ``(evaluate, span)``.  For a split form ``span()`` gives two
-    arrays, indexed by chunk, that bound every value of the chunk's codes:
-    the chunk's high part plus the least and the greatest entry of the
-    low-bit table plus the negative, respectively positive, cross products.
-    These are exact integers too.  A split one-value row (:func:`_one_value`)
-    has an all-zero table and no cross product, so both arrays are its high
-    part: the value each of the chunk's codes has.  Any other form has
-    ``span`` None.
+    When ``n`` exceeds ``_CHUNK_BITS``, a form whose constant and
+    coefficients are integers with an absolute sum below 2^53 is split at
+    the chunk's bit: the constant and the high-bit terms are one
+    :meth:`LinearForm.value` per chunk, and the low-bit terms are read from
+    a table of their ``2^_CHUNK_BITS`` sums, built here.  Every partial sum
+    of such a form is an exact integer, so the split gives the floats of
+    :meth:`LinearForm.values` in any summation order.  A product with one
+    bit on each side is still summed term by term; any other form, and any
+    scan of one chunk, keeps :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is
+    read at each call.
     """
     cut = _CHUNK_BITS
     coeffs = [form.const] + [c for *_, c in form.terms + form.products]
     if n <= cut or not all(float(c).is_integer() for c in coeffs) \
             or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
-        return form.values, None
+        return form.values
     high = LinearForm(form.const, tuple(t for t in form.terms if t[0] >= cut),
                       tuple(p for p in form.products if p[0] >= cut and p[1] >= cut))
     low = LinearForm(0.0, tuple(t for t in form.terms if t[0] < cut),
@@ -419,12 +403,7 @@ def _row_evaluator(form: LinearForm, n: int) -> tuple[
             out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
         return out
 
-    def span() -> tuple[np.ndarray, np.ndarray]:
-        starts = high.values(np.arange(0, 1 << n, 1 << cut, dtype=np.int64))
-        return (starts + (low.min() + sum(min(0.0, c) for *_, c in cross)),
-                starts + (low.max() + sum(max(0.0, c) for *_, c in cross)))
-
-    return values, span
+    return values
 
 
 def _linear_form(shift: Mapping[str, int], linear: Mapping[str, float],
@@ -477,6 +456,32 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _feasible_scan(rows: Sequence, n: int):
+    """Yield the codes ``0 .. 2^n - 1`` that satisfy every row, ascending,
+    one non-empty array per chunk of :func:`_code_chunks`.
+
+    ``rows`` holds one ``(evaluate, sense, rhs, form, ...)`` per row in
+    checking order, ``evaluate`` being :func:`_row_evaluator`'s on ``form``.
+    A one-value row (the rule in the module docstring) is decided once per
+    chunk, on ``form.values`` of the chunk's first code, and codes are built
+    only for the chunks every such row accepts; the other rows check those
+    codes with :func:`_feasible_codes`.
+    """
+    starts = _chunk_starts(n)
+    keep = np.ones(starts.shape, dtype=bool)
+    checks = []
+    for row in rows:
+        _, sense, rhs, form = row[:4]
+        if _one_value(form, n):
+            keep &= row_holds(sense, form.values(starts), rhs)
+        else:
+            checks.append(row)
+    for codes in _code_chunks(n, keep):
+        codes = _feasible_codes(checks, codes)
+        if codes.size:
+            yield codes
+
+
 # -- exhaustive oracle --------------------------------------------------------
 
 
@@ -491,21 +496,13 @@ def brute_force(model) -> SampleSet:
     objective.
 
     Both walk the integer codes of all ``2^n`` assignments in chunks of
-    ``2^_CHUNK_BITS``.  For a program, a split one-value row (a row with
-    integer coefficients that reads no bit below ``_CHUNK_BITS``,
-    :func:`_one_value`) has one value per chunk, exact for each of its
-    codes; those rows are decided for every chunk at once from that value,
-    and codes are built only for the chunks all of them accept.  On those
-    codes every other row is checked, equality rows first, each row
-    on the survivors of the rows before it (:func:`_feasible_codes`); the
-    objective is evaluated, term by term, only on the codes that survive
-    every row, and a chunk with no survivor costs nothing more.  No chunk
-    is skipped on a bound.  When ``n`` exceeds ``_CHUNK_BITS``, a row whose
-    constant and coefficients are integers with an absolute sum below 2^53
-    reads its low ``_CHUNK_BITS`` bits from a table built when the call
-    starts (:func:`_row_evaluator`); such sums are exact in any order, so
-    the records do not depend on it.  More than ``_VAR_LIMIT``
-    (24) variables raise :class:`~flowqubo.errors.ExhaustiveLimitError`.
+    ``2^_CHUNK_BITS``.  For a program, the rows filter them, equality rows
+    first, in the scan :func:`_feasible_scan`, which decides one-value rows
+    once per chunk (the rule in the module docstring) and checks every
+    other row code by code; no chunk is skipped on a bound.  The objective
+    is evaluated, term by term, only on the codes that survive every row.
+    More than ``_VAR_LIMIT`` (24) variables raise
+    :class:`~flowqubo.errors.ExhaustiveLimitError`.
     """
     if not isinstance(model, (QuboModel, BinaryProgram)):
         raise TypeError(
@@ -538,22 +535,10 @@ def _brute_force_program(program: BinaryProgram) -> SampleSet:
     n = program.num_vars
     t0 = time.perf_counter()
     tables = _program_tables(program)
-    # a split one-value row's span is the value all of a chunk's codes have:
-    # it decides the row for every chunk at once; the other rows check codes
-    keep = np.ones(_chunk_count(n), dtype=bool)
-    checks = []
-    for lhs, sense, rhs in tables.rows:
-        evaluate, span = _row_evaluator(lhs, n)
-        if span is not None and _one_value(lhs, n):
-            keep &= row_holds(sense, span()[0], rhs)
-        else:
-            checks.append((evaluate, sense, rhs))
+    checks = [(_row_evaluator(lhs, n), sense, rhs, lhs) for lhs, sense, rhs in tables.rows]
     key_idx = list(program.key_indices)
     pool: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
-    for codes in _code_chunks(n, keep):
-        codes = _feasible_codes(checks, codes)
-        if not codes.size:
-            continue
+    for codes in _feasible_scan(checks, n):
         rows = _bit_rows(codes, n)
         objs = tables.objective.values(codes)
         for bits, key, obj in zip(map(tuple, rows.tolist()),
@@ -644,9 +629,9 @@ def simulated_annealing(qubo: QuboModel, params: SaParams | None = None) -> Samp
         derived = derived_beta_schedule(qubo)
         beta_hot = derived[0] if beta_hot is None else beta_hot
         beta_cold = derived[1] if beta_cold is None else beta_cold
-    if not beta_hot < beta_cold:
+    if not 0.0 < beta_hot < beta_cold < math.inf:
         raise SolverError(
-            f"beta_hot must be below beta_cold, got {beta_hot} >= {beta_cold}")
+            f"need 0 < beta_hot < beta_cold < inf, got {beta_hot} and {beta_cold}")
 
     n = qubo.num_vars
     reads = params.num_reads

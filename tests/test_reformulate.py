@@ -302,7 +302,7 @@ def test_reformulation_recovers_planted_optimum(prog):
 
 
 def _penalty_row(sense, weight, bits):
-    return _ScanRow(evaluate=None, sense=sense, rhs=0.0, form=None, span=None,
+    return _ScanRow(evaluate=None, sense=sense, rhs=0.0, form=None,
                     weight=weight, slack=tuple(range(bits)), pairs={})
 
 
@@ -633,8 +633,8 @@ def chunked_programs(draw):
 @given(chunked_programs(), st.integers(1, 3), st.sampled_from((None, 0.5)))
 @settings(max_examples=100, deadline=None)
 def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
-    """Every chunk holding a feasible code passes the feasibility pass's
-    chunk test, and every chunk holding a code that survives
+    """The feasibility pass's scan of verify's rows yields exactly the
+    feasible codes, and every chunk holding a code that survives
     ``_completion_energies`` at a bound passes the threshold pass's chunk
     test at that bound, for bounds at and just below the codes' energies."""
     reform = reformulate(prog, rho=rho)
@@ -643,32 +643,33 @@ def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
                 if prog.is_feasible(bits)]
     with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
         scan = _ScanTables(reform)
-        keep = scan.feasible_chunks()
-        assert keep.shape == (1 << (n - chunk_bits),)
-        assert all(keep[k >> chunk_bits] for k in feasible)
+        assert [k for codes in solvers._feasible_scan(scan.rows, n)
+                for k in codes.tolist()] == feasible
         chunks = list(solvers._code_chunks(n))
         energies = np.sort(np.concatenate(
             [_completion_energies(scan, codes)[2] for codes in chunks]))
         for energy in energies[[0, len(energies) // 8, len(energies) // 4, len(energies) // 2]]:
             for bound in (energy, np.nextafter(energy, -np.inf)):
                 within = scan.chunks_within(bound)
+                assert within.shape == (1 << (n - chunk_bits),)
                 for chunk, codes in enumerate(chunks):
                     if _completion_energies(scan, codes, bound)[0].size:
                         assert within[chunk]
 
 
-def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
+def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, ds_reform, monkeypatch):
     """On il each pass of verify reads at most 344,064 of its 2^24 codes
-    whole, 21 chunks of 2^14; the row spans rule out the rest.  The bound
-    is in codes, so it holds at any chunk size.  The feasibility pass reads
-    a chunk through ``_feasible_codes`` and the threshold pass through
-    ``_completion_energies`` with a finite bound; the other calls of each
-    get only a chunk's survivors."""
+    whole, 21 chunks of 2^14, and on ds 3 chunks of its 32; the one-value
+    rows rule out the rest.  The bound is in codes, so it holds at any
+    chunk size.  The feasibility pass reads a chunk through the oracle's
+    scan, which hands it to ``_feasible_codes``, and the threshold pass
+    through ``_completion_energies`` with a finite bound; the other calls
+    of each get only a chunk's survivors."""
     module = importlib.import_module("flowqubo.reformulate")
     whole = 1 << solvers._CHUNK_BITS
     assert il_reform.source.num_vars == 24
     feasible_reads, threshold_reads = [], []
-    rows, energies = module._feasible_codes, module._completion_energies
+    rows, energies = solvers._feasible_codes, module._completion_energies
 
     def reading_rows(checks, codes):
         if codes.size == whole:
@@ -681,11 +682,15 @@ def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, monkeypatch):
             threshold_reads.append(codes.size)
         return energies(scan, codes, bound)
 
-    monkeypatch.setattr(module, "_feasible_codes", reading_rows)
+    monkeypatch.setattr(solvers, "_feasible_codes", reading_rows)
     monkeypatch.setattr(module, "_completion_energies", reading_energies)
-    assert verify(il_reform).passed
-    assert 0 < sum(feasible_reads) <= 21 << 14
-    assert 0 < sum(threshold_reads) <= 21 << 14
+    for reform, chunks in ((il_reform, 21), (ds_reform, 3)):
+        assert reform.source.num_vars > solvers._CHUNK_BITS
+        feasible_reads.clear()
+        threshold_reads.clear()
+        assert verify(reform).passed
+        assert 0 < sum(feasible_reads) <= chunks << 14
+        assert 0 < sum(threshold_reads) <= chunks << 14
 
 
 @st.composite
@@ -762,10 +767,10 @@ _SIX = tuple(f"x{i}" for i in range(6))
 def test_one_value_rows_match_the_dense_references(case):
     """With rows that read only a chunk's high bits, the oracle matches the
     float matrix reference, verify gives the report of a scan of one chunk
-    field for field, and every chunk holding a feasible code passes
-    verify's chunk test.  With integer coefficients that report is the
-    dense reference's; in tenths the two sum energies in different orders,
-    so only their feasible counts are compared."""
+    field for field, and the scan of verify's feasibility pass yields
+    exactly the feasible codes.  With integer coefficients that report is
+    the dense reference's; in tenths the two sum energies in different
+    orders, so only their feasible counts are compared."""
     prog, chunk_bits = case
     n = prog.num_vars
     reform = reformulate(prog)
@@ -780,9 +785,29 @@ def test_one_value_rows_match_the_dense_references(case):
         assert any(solvers._one_value(lhs, n) for lhs, *_ in solvers._program_tables(prog).rows)
         found = _assert_matches_float_matrix_reference(prog)
         assert verify(reform) == one_chunk
-        keep = _ScanTables(reform).feasible_chunks()
-    assert all(keep[k >> chunk_bits] for k in feasible)
+        scanned = solvers._feasible_scan(_ScanTables(reform).rows, n)
+        assert [k for codes in scanned for k in codes.tolist()] == feasible
     assert (found.status == "infeasible") == (not feasible)
+
+
+@given(st.one_of(st.tuples(chunked_programs(), st.integers(1, 4)), leading_row_programs()))
+@settings(max_examples=100, deadline=None)
+def test_feasible_scan_yields_the_feasible_codes(case):
+    """The scan that the oracle and verify's feasibility pass share yields,
+    over the oracle's rows, exactly the codes whose assignments an
+    enumeration of every bit tuple finds feasible, in ascending order, one
+    non-empty array within one chunk each."""
+    prog, chunk_bits = case
+    n = prog.num_vars
+    feasible = [k for k, bits in enumerate(itertools.product((0, 1), repeat=n))
+                if prog.is_feasible(bits)]
+    with mock.patch.object(solvers, "_CHUNK_BITS", chunk_bits):
+        rows = [(solvers._row_evaluator(lhs, n), sense, rhs, lhs)
+                for lhs, sense, rhs in solvers._program_tables(prog).rows]
+        scanned = list(solvers._feasible_scan(rows, n))
+    assert all(codes.size and codes[0] >> chunk_bits == codes[-1] >> chunk_bits
+               for codes in scanned)
+    assert [k for codes in scanned for k in codes.tolist()] == feasible
 
 
 def test_verify_fails_without_feasible_point():

@@ -322,6 +322,32 @@ def test_brute_force_reads_21_of_1024_il_chunks(il_program, ds_program, monkeypa
         assert 0 < sum(reads) <= chunks << 14
 
 
+def test_brute_force_decides_a_row_in_tenths_once_per_chunk(monkeypatch):
+    """A one-value row in tenths is decided once per chunk, like an
+    integral one: at chunks of 2^2 codes, x0-x3 lead, and 0.1 x0 + 0.2 x1 -
+    0.3 x2 = 0 holds on 4 of the 16 chunks, so only their 16 codes reach
+    the code-by-code checks, and the records are the float matrix
+    reference's."""
+    names = tuple(f"x{i}" for i in range(6))
+    prog = BinaryProgram(
+        var_names=names, objective={"x0": -1.0, "x3": 2.0, "x4": -1.0, "x5": 1.0},
+        constraints=(Constraint({"x0": 0.1, "x1": 0.2, "x2": -0.3}, "=", 0.0),
+                     Constraint({name: 1.0 for name in names}, "<=", 3.0)))
+    reads = []
+    rows = solvers._feasible_codes
+
+    def reading_rows(checks, codes):
+        reads.append(codes.size)
+        return rows(checks, codes)
+
+    monkeypatch.setattr(solvers, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(solvers, "_feasible_codes", reading_rows)
+    assert solvers._one_value(solvers._program_tables(prog).rows[0][0], prog.num_vars)
+    found = _assert_matches_float_matrix_reference(prog)
+    assert found.records
+    assert sum(reads) == 16 < 1 << prog.num_vars
+
+
 @pytest.mark.parametrize("mode", ["optimal", "enumerate_all", "pool"])
 def test_branch_and_bound_makes_no_row_evaluator(mode, ds_program, monkeypatch):
     made = count_row_evaluators(monkeypatch)
@@ -524,6 +550,10 @@ def test_sa_validates_params():
         simulated_annealing(q, SaParams(num_reads=0))
     with pytest.raises(SolverError):
         simulated_annealing(q, SaParams(beta_hot=5.0, beta_cold=1.0))
+    # a zero, negative or infinite endpoint makes no geometric schedule
+    for hot, cold in ((0.0, 1.0), (-1.0, 1.0), (1.0, np.inf)):
+        with pytest.raises(SolverError, match="0 < beta_hot < beta_cold < inf"):
+            simulated_annealing(q, SaParams(beta_hot=hot, beta_cold=cold))
     huge = QuboModel.from_terms(2, {(0, 0): 1e39, (0, 1): -1.0})
     with pytest.raises(SolverError):
         simulated_annealing(huge, SaParams(num_reads=2, num_sweeps=2, beta_hot=1.0,
