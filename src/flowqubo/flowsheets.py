@@ -307,7 +307,10 @@ def build_il_discrete(space: IlDesignSpace) -> BinaryProgram:
     w per (cation, anion).  The objective is fixed cost plus an operating
     surrogate at the minimum sustainable throughput; the separator part
     depends on the recovery factor of the chosen pair, which is where the
-    bilinear y*w terms come from.
+    bilinear y*w terms come from.  Every row is in the form the QUBO
+    encodes, which :func:`~flowqubo.ip.normalize_constraint` returns as it
+    is: an implication is ``flow - y <= 0``, "at least one reactor fed" a
+    sum ``>= 1``, and the only product rows are the pair indicators.
     """
     rs, ss = space.reactors, space.separators
     y_r = {r: f"y[{r}]" for r in rs}
@@ -334,26 +337,17 @@ def build_il_discrete(space: IlDesignSpace) -> BinaryProgram:
     for s in ss:
         cons.append(Constraint({snk[s]: 1.0, y_s[s]: -1.0}, "=", 0.0,
                                label=f"sink flow equals separator selection [{s}]"))
-    if len(rs) == 2:
-        # logical OR written through the product, x + y - x*y = 1
-        f1, f2 = src[rs[0]], src[rs[1]]
-        cons.append(Constraint({f1: 1.0, f2: 1.0}, "=", 1.0,
-                               products=((f1, f2, -1.0),),
-                               label="at least one reactor fed"))
-    else:
-        cons.append(Constraint({src[r]: 1.0 for r in rs}, ">=", 1.0,
-                               label="at least one reactor fed"))
+    cons.append(Constraint({src[r]: 1.0 for r in rs}, ">=", 1.0,
+                           label="at least one reactor fed"))
     cons.append(Constraint({snk[s]: 1.0 for s in ss}, ">=", 1.0,
                            label="at least one separator to sink"))
     for r in rs:
         for s in ss:
-            cons.append(Constraint({x[r, s]: -1.0}, "=", 0.0,
-                                   products=((x[r, s], src[r], 1.0),),
+            cons.append(Constraint({x[r, s]: 1.0, src[r]: -1.0}, "<=", 0.0,
                                    label=f"flow only from fed reactor [{r},{s}]"))
     for r in rs:
         for s in ss:
-            cons.append(Constraint({x[r, s]: -1.0}, "=", 0.0,
-                                   products=((x[r, s], y_s[s], 1.0),),
+            cons.append(Constraint({x[r, s]: 1.0, y_s[s]: -1.0}, "<=", 0.0,
                                    label=f"flow only into active separator [{r},{s}]"))
     for r in rs:
         linear = {x[r, s]: 1.0 for s in ss}

@@ -286,13 +286,15 @@ def normalize_constraint(con: Constraint) -> Constraint:
     * ``a*x + a*y - a*(x*y) = a``  becomes  ``x + y >= 1``: inclusion-
       exclusion of an OR.
 
+    Either pattern misses its right-hand side by ``|q|`` at the one point
+    its rewrite rejects, so it is rewritten only when ``|q| > _FEAS_TOL``.
     Anything else is returned unchanged; generic products are handled later
     by auxiliary-variable linearization.
     """
     if len(con.products) != 1 or con.sense != "=":
         return con
     u, v, q = con.products[0]
-    if q == 0.0:
+    if abs(q) <= _FEAS_TOL:
         return con
     lin = {k: c for k, c in con.linear.items() if c != 0.0}
 
@@ -311,7 +313,7 @@ def normalize_constraint(con: Constraint) -> Constraint:
     # pattern: a*x + a*y - a*x*y = a  ->  x + y >= 1
     if set(lin) == {u, v}:
         a = lin[u]
-        if a != 0.0 and lin[v] == a and q == -a and con.rhs == a:
+        if lin[v] == a and q == -a and con.rhs == a:
             return Constraint(
                 linear={u: 1.0, v: 1.0},
                 sense=">=",

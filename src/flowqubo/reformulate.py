@@ -400,13 +400,13 @@ class _ScanTables:
     closed form, and auxiliaries only couple through shared constraints, so
     they are minimized per connected component.
 
-    ``rows`` holds one :class:`_ScanRow` per row the oracle compiles, in its
-    checking order; each row's evaluator is made once here, so each row has
-    one low-bit table per call.  ``components`` lists each auxiliary
-    component as its sorted source pairs, the indices of its rows and its
-    ``2^g`` auxiliary settings, one 0/1 list each, in the order of their
-    codes (:func:`~flowqubo.solvers._bit_rows`).  More than ``_GROUP_LIMIT``
-    pairs in one component raise
+    ``rows`` holds one :class:`_ScanRow` per normalized row, compiled and
+    ordered as the oracle does; each row's evaluator is made once here, so
+    each row has one low-bit table per call.  ``components`` lists each
+    auxiliary component as its sorted source pairs, the indices of its rows
+    and its ``2^g`` auxiliary settings, one 0/1 list each, in the order of
+    their codes (:func:`~flowqubo.solvers._bit_rows`).  More than
+    ``_GROUP_LIMIT`` pairs in one component raise
     :class:`~flowqubo.errors.ExhaustiveLimitError`.
     """
 
@@ -647,11 +647,13 @@ def verify(reform: Reformulation) -> VerificationReport:
     already exceeds ``T``, a valid lower bound since the gadget and row
     penalties are >= 0, and enumerates auxiliaries only on the rest.  With
     no feasible code ``T`` is infinite and the second pass completes every
-    code, one chunk at a time.  Both passes read the rows the oracle
-    compiles, one :class:`_ScanRow` each, made when the call starts with the
-    row's evaluator, the second taking a product-free row's residual as
-    that evaluator's value minus ``rhs``, so each row has one low-bit table
-    per call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
+    code, one chunk at a time.  Both passes read the normalized rows,
+    compiled as the oracle compiles rows; on il and ds normalization leaves
+    every row as it is, so these are the oracle's own rows.  Each row is one
+    :class:`_ScanRow`, made when the call starts with the row's evaluator,
+    the second pass taking a product-free row's residual as that
+    evaluator's value minus ``rhs``, so each row has one low-bit table per
+    call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
     form, the objective included, is summed term by term.  The second pass
     skips a chunk whose one-value rows alone, by the oracle's rule, already
     put every code's penalties above ``T`` (:meth:`_ScanTables.chunks_within`).

@@ -16,11 +16,12 @@ and :mod:`ip`:
   in one order.  Such rows are decided once per chunk, and codes are built
   only for the chunks they all accept, 21 of il's 1024.  Every other row
   value is computed for every code until a row rejects it, so no chunk is
-  skipped on a bound.  A row with integer coefficients is evaluated split
-  at the same bit: its high part is one number per chunk and its low part
-  a table of ``2^_CHUNK_BITS`` sums (:func:`_row_evaluator`, meet-in-the-
-  middle style after Horowitz & Sahni, J. ACM 21(2):277, 1974); other rows,
-  and scans of one chunk, evaluate term by term,
+  skipped on a bound.  A row with integer coefficients and no product
+  across that bit is evaluated split at it: its high part is one number
+  per chunk and its low part a table of ``2^_CHUNK_BITS`` sums
+  (:func:`_row_evaluator`, meet-in-the-middle style after Horowitz &
+  Sahni, J. ACM 21(2):277, 1974); other rows, and scans of one chunk,
+  evaluate term by term,
 * :func:`simulated_annealing` — single-flip Metropolis sampler with a
   geometric inverse-temperature schedule.  It colours the coupling graph
   greedily and flips one colour class per numpy step, all reads at once,
@@ -378,30 +379,27 @@ def _row_evaluator(form: LinearForm, n: int) -> Callable[[np.ndarray], np.ndarra
     :meth:`LinearForm.value` per chunk, and the low-bit terms are read from
     a table of their ``2^_CHUNK_BITS`` sums, built here.  Every partial sum
     of such a form is an exact integer, so the split gives the floats of
-    :meth:`LinearForm.values` in any summation order.  A product with one
-    bit on each side is still summed term by term; any other form, and any
-    scan of one chunk, keeps :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is
-    read at each call.
+    :meth:`LinearForm.values` in any summation order.  A form with a
+    product that has one bit on each side, any other form, and any scan of
+    one chunk keep :meth:`LinearForm.values`.  ``_CHUNK_BITS`` is read at
+    each call.
     """
     cut = _CHUNK_BITS
     coeffs = [form.const] + [c for *_, c in form.terms + form.products]
     if n <= cut or not all(float(c).is_integer() for c in coeffs) \
-            or sum(abs(int(c)) for c in coeffs) >= 1 << 53:
+            or sum(abs(int(c)) for c in coeffs) >= 1 << 53 \
+            or any((p[0] < cut) != (p[1] < cut) for p in form.products):
         return form.values
     high = LinearForm(form.const, tuple(t for t in form.terms if t[0] >= cut),
-                      tuple(p for p in form.products if p[0] >= cut and p[1] >= cut))
+                      tuple(p for p in form.products if p[0] >= cut))
     low = LinearForm(0.0, tuple(t for t in form.terms if t[0] < cut),
-                     tuple(p for p in form.products if p[0] < cut and p[1] < cut)
+                     tuple(p for p in form.products if p[0] < cut)
                      ).values(np.arange(1 << cut, dtype=np.int64))
-    cross = tuple(p for p in form.products if (p[0] < cut) != (p[1] < cut))
 
     def values(codes: np.ndarray) -> np.ndarray:
         # a whole chunk reads the table as it is; survivors gather from it
         table = low if codes.size == low.size else low[codes & (low.size - 1)]
-        out = table + high.value(int(codes[0]))   # high reads no low bit
-        for shift_u, shift_v, coeff in cross:
-            out += coeff * ((codes >> shift_u) & (codes >> shift_v) & 1)
-        return out
+        return table + high.value(int(codes[0]))   # high reads no low bit
 
     return values
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -13,11 +14,14 @@ from flowqubo import (
     DsNode,
     IlDesignSpace,
     ModelError,
+    branch_and_bound,
     brute_force,
     build_ds_discrete,
     build_il_discrete,
     il_continuous_solve,
+    normalize_constraint,
     pattern_search,
+    reformulate,
     run_blackbox,
     sweep_il,
 )
@@ -198,13 +202,13 @@ _coeff = st.floats(0.0, 10.0, allow_nan=False)
 
 
 @st.composite
-def _il_spaces(draw):
+def _il_spaces(draw, max_reactors=2):
     """A valid il design space and a valid selection on it.
 
     The demand is a drawn share of the most the selection could recover at
     its separators' upper limits, so that many draws have feasible flows.
     """
-    reactors = tuple(f"R{i}" for i in range(draw(st.integers(1, 2))))
+    reactors = tuple(f"R{i}" for i in range(draw(st.integers(1, max_reactors))))
     separators = tuple(f"S{i}" for i in range(draw(st.integers(1, 3))))
     cations = tuple(f"c{i}" for i in range(draw(st.integers(1, 2))))
     anions = tuple(f"a{i}" for i in range(draw(st.integers(1, 2))))
@@ -407,6 +411,49 @@ def test_il_feasible_set_structure(il_oracle, il_program):
         assert bits["y[R1]"] + bits["y[R2]"] >= 1
         assert bits["z[c1]"] + bits["z[c2]"] == 1
         assert bits["z[a1]"] + bits["z[a2]"] == 1
+
+
+def _bilinear_il_rows(program):
+    """``program`` with its 13 linear implication and reactor rows written
+    in the bilinear form that :func:`normalize_constraint` rewrites."""
+    cons = []
+    for con in program.constraints:
+        if con.label.startswith(("flow only from fed reactor", "flow only into active")):
+            (x, _), (y, _) = con.linear.items()
+            con = Constraint({x: -1.0}, "=", 0.0, products=((x, y, 1.0),), label=con.label)
+        elif con.label == "at least one reactor fed":
+            f1, f2 = con.linear
+            con = Constraint({f1: 1.0, f2: 1.0}, "=", 1.0, products=((f1, f2, -1.0),),
+                             label=con.label)
+        cons.append(con)
+    return dataclasses.replace(program, constraints=tuple(cons))
+
+
+def test_il_rows_are_the_rows_the_qubo_encodes(il_program, il_reform):
+    bilinear = _bilinear_il_rows(il_program)
+    changed = [k for k, (a, b) in enumerate(zip(il_program.constraints,
+                                                 bilinear.constraints)) if a != b]
+    assert changed == [5] + list(range(7, 19))
+    assert sum(1 for con in il_program.constraints if con.products) == 4
+    other = reformulate(bilinear)
+    assert other.qubo == il_reform.qubo
+    assert other.qubo.to_json_dict() == il_reform.qubo.to_json_dict()
+    assert other.normalized == il_reform.normalized == il_program.constraints
+    assert [list(con.linear.items()) for con in other.normalized] \
+        == [list(con.linear.items()) for con in il_program.constraints]
+    assert other.sidecar_json_dict() == il_reform.sidecar_json_dict()
+    assert brute_force(bilinear).records == brute_force(il_program).records
+    for mode, kwargs in (("optimal", {}), ("enumerate_all", {}), ("pool", {"pool_size": 10})):
+        assert branch_and_bound(bilinear, mode, **kwargs).records \
+            == branch_and_bound(il_program, mode, **kwargs).records
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_il_spaces(max_reactors=3))
+def test_normalization_leaves_every_il_row(case, il_space):
+    for space in (case[0], il_space):
+        for con in build_il_discrete(space).constraints:
+            assert normalize_constraint(con) is con
 
 
 def test_ds_model_dimensions(ds_program):

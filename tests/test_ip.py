@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowqubo import (
@@ -189,7 +189,8 @@ def test_normalize_leaves_general_products():
 
 @st.composite
 def product_constraints(draw):
-    q = draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))
+    # below _FEAS_TOL a pattern's rejected point is feasible, so it stays
+    q = draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0, -2e-9, -1e-10, 1e-10, 2e-9]))
     kind = draw(st.sampled_from(["implication", "or", "other"]))
     if kind == "implication":
         return Constraint({"x": -q}, "=", 0.0, products=(("x", "y", q),))
@@ -201,6 +202,8 @@ def product_constraints(draw):
 
 
 @given(product_constraints())
+@example(Constraint({"x": -1e-10}, "=", 0.0, products=(("x", "y", 1e-10),)))
+@example(Constraint({"x": 1e-10, "y": 1e-10}, "=", 1e-10, products=(("x", "y", -1e-10),)))
 @settings(max_examples=80, deadline=None)
 def test_normalize_preserves_satisfaction(con):
     norm = normalize_constraint(con)

@@ -222,6 +222,26 @@ def test_verify_passes_on_small_models():
     assert report.dominance_failures == ()
 
 
+@pytest.mark.parametrize("objective, con", [
+    # x*y - x = 0 scaled by 1e-10: (1, 0) misses it by 1e-10, within _FEAS_TOL
+    ({"x": -1.0, "y": 1.0},
+     Constraint({"x": -1e-10}, "=", 0.0, products=(("x", "y", 1e-10),))),
+    # x + y - x*y = 1 scaled by 1e-10: (0, 0) misses it by 1e-10
+    ({"x": 1.0, "y": 1.0},
+     Constraint({"x": 1e-10, "y": 1e-10}, "=", 1e-10, products=(("x", "y", -1e-10),))),
+])
+def test_verify_keeps_a_product_row_within_the_tolerance(objective, con):
+    # rewritten to x <= y or x + y >= 1, the QUBO would miss the optimum
+    prog = _program(objective, [con], names=("x", "y"))
+    oracle = brute_force(prog)
+    report = verify(reformulate(prog))
+    assert report.passed
+    assert report.feasible_count == len(oracle.records) == 4
+    assert report.feasible_optimum == oracle.best().objective
+    assert report.qubo_argmin[:2] == oracle.best().assignment
+    assert report.qubo_minimum == pytest.approx(oracle.best().objective, abs=1e-9)
+
+
 def test_verify_detects_weak_penalty():
     # with rho below the objective pull, the infeasible point wins
     prog = _program({"a": -3.0}, [Constraint({"a": 1.0}, "=", 0.0)], names=("a",))

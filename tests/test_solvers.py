@@ -348,6 +348,24 @@ def test_brute_force_decides_a_row_in_tenths_once_per_chunk(monkeypatch):
     assert sum(reads) == 16 < 1 << prog.num_vars
 
 
+def test_row_evaluator_sums_a_product_across_the_chunk_bit_term_by_term():
+    """An integral form with a product that reads one bit on each side of
+    ``_CHUNK_BITS`` keeps ``form.values``; with the product on the high
+    side the same form is split, and gives the same floats."""
+    cut = solvers._CHUNK_BITS
+    n = cut + 2
+    terms = ((0, 3.0), (cut - 1, -2.0), (cut + 1, 5.0))
+    across = solvers.LinearForm(1.0, terms, ((cut - 1, cut, 4.0),))
+    assert solvers._row_evaluator(across, n) == across.values
+    high = solvers.LinearForm(1.0, terms, ((cut, cut + 1, 4.0),))
+    split = solvers._row_evaluator(high, n)
+    assert split != high.values
+    for start in solvers._chunk_starts(n):
+        codes = np.arange(start, start + (1 << cut), dtype=np.int64)
+        assert np.array_equal(split(codes), high.values(codes))
+        assert np.array_equal(split(codes[1::3]), high.values(codes[1::3]))
+
+
 @pytest.mark.parametrize("mode", ["optimal", "enumerate_all", "pool"])
 def test_branch_and_bound_makes_no_row_evaluator(mode, ds_program, monkeypatch):
     made = count_row_evaluators(monkeypatch)
