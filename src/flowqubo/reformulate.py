@@ -17,8 +17,10 @@ yields, and a second drops every assignment whose objective plus
 product-free row penalties, a lower bound on its completion energy, already
 exceeds what a dominance failure or the QUBO minimum can reach.  Both passes
 read a chunk of codes only where the one-value rows of the oracle's rule
-(:mod:`~flowqubo.solvers`) leave it a chance.  Every slack decision reads
-the sign map ``_SLACK_SIGN``.
+(:mod:`~flowqubo.solvers`) leave it a chance, and the second takes those
+rows' penalties once per chunk.  Only that survivor filter works chunk by
+chunk: each pass completes its survivors in batches gathered across
+chunks.  Every slack decision reads the sign map ``_SLACK_SIGN``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .solvers import (
     LinearForm,
     SampleRecord,
     SampleSet,
+    _batches,
     _bit_rows,
     _chunk_starts,
     _code_chunks,
@@ -384,11 +387,14 @@ class _ScanRow(NamedTuple):
         return float((1 << len(self.slack)) - 1)
 
     def residual(self, codes: np.ndarray) -> np.ndarray:
-        """lhs - rhs before slack and auxiliaries, on chunk codes: a product
-        row's linear part, since auxiliaries stand in for its products."""
+        """lhs - rhs before slack and auxiliaries, on any codes: a product
+        row's linear part, since auxiliaries stand in for its products.
+        It reads ``form.values``, which gives the floats of ``evaluate``:
+        an integral form sums exactly in any order, and ``evaluate`` is
+        ``form.values`` on any other form."""
         if self.pairs:
             return self.form._replace(const=-float(self.rhs), products=()).values(codes)
-        return self.evaluate(codes) - self.rhs
+        return self.form.values(codes) - self.rhs
 
 
 class _ScanTables:
@@ -448,25 +454,30 @@ class _ScanTables:
             settings = _bit_rows(np.arange(1 << len(members)), len(members)).tolist()
             self.components.append((members, row_ids, settings))
 
-    def chunks_within(self, bound: float) -> np.ndarray:
-        """One bool per chunk: False when every code of the chunk would be
-        dropped by :func:`_completion_energies` at ``bound``.
+    def chunks_within(self, bound: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """One bool per chunk, False when :func:`_row_energies` at ``bound``
+        would drop every code of the chunk, and the penalties per chunk of
+        the product-free one-value rows, by index in ``rows``.
 
-        A product-free one-value row (the rule in :mod:`~flowqubo.solvers`)
-        has one penalty per chunk, each of its codes' own.  These are summed
-        in checking order and tested, plus ``floor``, against ``bound`` after
-        each product-free row, where :func:`_completion_energies` tests.
-        Every other penalty is at least 0 and float addition is monotone, so
-        the sum never exceeds what that function tests for any code of the
+        Such a row (the rule in :mod:`~flowqubo.solvers`) has one penalty per
+        chunk, each of its codes' own, bit for bit.  These are summed in
+        checking order and tested, plus ``floor``, against ``bound`` after
+        each product-free row, where :func:`_row_energies` tests.  Every
+        other penalty is at least 0 and float addition is monotone, so the
+        sum never exceeds what that function tests for any code of the
         chunk, and a chunk fails only where each of its codes fails.
         """
         starts = _chunk_starts(self.n)
         keep, total = np.ones(starts.shape, dtype=bool), np.zeros(starts.shape)
-        for row in (row for row in self.rows if not row.pairs):
+        penalty = {}
+        for k, row in enumerate(self.rows):
+            if row.pairs:
+                continue
             if _one_value(row.form, self.n):
-                total = total + _row_penalty(row, row.form.values(starts) - row.rhs)
+                penalty[k] = _row_penalty(row, row.form.values(starts) - row.rhs)
+                total = total + penalty[k]
             keep = total + self.floor <= bound
-        return keep
+        return keep, penalty
 
 
 def _check_qubo(reform: Reformulation, scan: _ScanTables) -> None:
@@ -580,31 +591,60 @@ def _component_minimum(scan: _ScanTables, component, bits, residual):
     return best, choice
 
 
-def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np.inf):
-    """Minimal completion energies of the ``codes`` not pruned by ``bound``.
+def _row_energies(scan: _ScanTables, codes: np.ndarray, bound: float,
+                 fixed: Mapping[int, float]):
+    """The ``codes`` not pruned by ``bound``, and their product-free row
+    penalties.
 
-    The energy is summed in one fixed order: the closed-form penalties of
-    the product-free rows of ``scan.rows`` in checking order, then the
-    objective, then the component minima.  Every penalty is >= 0 and the
-    objective is at least ``scan.floor``, so the penalties summed so far
-    plus that floor never exceed the final energy, rounding included.  A
-    code is dropped as soon as that lower bound exceeds ``bound``, and once
-    every code is dropped nothing more is evaluated.  ``codes`` lie in one
-    aligned chunk of ``2^_CHUNK_BITS``, as the row evaluators require.
-    :meth:`_ScanTables.chunks_within` tests a lower bound of that sum for a
-    whole chunk at once, so :func:`verify` passes only the chunks that can
-    keep a code.
-    Returns the kept codes, their objectives and their energies.
+    ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``, as the row
+    evaluators require.  The closed-form penalties of the product-free rows
+    of ``scan.rows`` are summed in checking order.  ``fixed`` maps a row's
+    index to its one penalty on this chunk
+    (:meth:`_ScanTables.chunks_within`), which is added at the row's place
+    as a scalar and skipped when it is ``0.0``: that adds nothing, and the
+    codes left have passed the test at that sum, or, before any row, the
+    chunk test did, which the chunk must have passed.  Every other row is
+    evaluated per code.  Every penalty is >= 0 and the objective is at least
+    ``scan.floor``, so the penalties summed so far plus that floor never
+    exceed a code's completion energy (:func:`_completion_energies`),
+    rounding included.  A code is dropped as soon as that lower bound
+    exceeds ``bound``, and once every code is dropped nothing more is
+    evaluated.
     """
     energy = np.zeros(codes.shape)
-    for row in (row for row in scan.rows if not row.pairs):
+    for k, row in enumerate(scan.rows):
         if not codes.size:
             break
-        energy = energy + _row_penalty(row, row.residual(codes))
+        if row.pairs:
+            continue
+        if k in fixed:
+            if fixed[k] == 0.0:
+                continue
+            energy = energy + fixed[k]
+        else:
+            energy = energy + _row_penalty(row, row.evaluate(codes) - row.rhs)
         keep = energy + scan.floor <= bound
         codes, energy = codes[keep], energy[keep]
-    if not codes.size:
-        return codes, energy, energy
+    return codes, energy
+
+
+def _completion_energies(scan: _ScanTables, codes: np.ndarray,
+                         energy: np.ndarray | None = None):
+    """Objectives and minimal completion energies of any ``codes``.
+
+    ``energy`` holds the codes' product-free row penalties
+    (:func:`_row_energies`); without it they are summed here, in the same
+    order, from each row's :meth:`_ScanRow.residual`.  The energy is summed
+    in one fixed order: those penalties in checking order, then the
+    objective, then the component minima.  Nothing here reads a row
+    evaluator, so :func:`verify` gathers the codes of many chunks into one
+    call.
+    """
+    if energy is None:
+        energy = np.zeros(codes.shape)
+        for row in scan.rows:
+            if not row.pairs:
+                energy = energy + _row_penalty(row, row.residual(codes))
     obj = scan.objective.values(codes)
     energy = energy + obj
     bits = {i: (codes >> (scan.n - 1 - i)) & 1
@@ -613,7 +653,7 @@ def _completion_energies(scan: _ScanTables, codes: np.ndarray, bound: float = np
                 for _, row_ids, _ in scan.components for k in row_ids}
     for component in scan.components:
         energy = energy + _component_minimum(scan, component, bits, residual)[0]
-    return codes, obj, energy
+    return obj, energy
 
 
 def verify(reform: Reformulation) -> VerificationReport:
@@ -645,20 +685,31 @@ def verify(reform: Reformulation) -> VerificationReport:
     dominance failure or the QUBO argmin.  The second pass drops every code
     whose objective plus the closed-form penalties of its product-free rows
     already exceeds ``T``, a valid lower bound since the gadget and row
-    penalties are >= 0, and enumerates auxiliaries only on the rest.  With
-    no feasible code ``T`` is infinite and the second pass completes every
-    code, one chunk at a time.  Both passes read the normalized rows,
-    compiled as the oracle compiles rows; on il and ds normalization leaves
-    every row as it is, so these are the oracle's own rows.  Each row is one
-    :class:`_ScanRow`, made when the call starts with the row's evaluator,
-    the second pass taking a product-free row's residual as that
-    evaluator's value minus ``rhs``, so each row has one low-bit table per
-    call, split at bit ``_CHUNK_BITS`` as in the oracle scan; any other
-    form, the objective included, is summed term by term.  The second pass
-    skips a chunk whose one-value rows alone, by the oracle's rule, already
-    put every code's penalties above ``T`` (:meth:`_ScanTables.chunks_within`).
-    A skipped chunk holds no code either pass would have kept, so the
-    reports are those of an exhaustive scan.
+    penalties are >= 0 (:func:`_row_energies`), and enumerates auxiliaries
+    only on the rest.  With no feasible code ``T`` is infinite and the
+    second pass completes every code.  Both passes read the normalized
+    rows, compiled as the oracle compiles rows; on il and ds normalization
+    leaves every row as it is, so these are the oracle's own rows.  Each row
+    is one :class:`_ScanRow`, made when the call starts with the row's
+    evaluator, so each row has one low-bit table per call, split at bit
+    ``_CHUNK_BITS`` as in the oracle scan; any other form, the objective
+    included, is summed term by term.  The second pass skips a chunk whose
+    one-value rows alone, by the oracle's rule, already put every code's
+    penalties above ``T``, and on the chunks it reads it adds each such
+    product-free row's penalty as the one number it is on the chunk
+    (:meth:`_ScanTables.chunks_within`).  A skipped chunk holds no code
+    either pass would have kept, so the reports are those of an exhaustive
+    scan.
+
+    Each pass gathers its survivors across chunks into batches of at least
+    ``2^_CHUNK_BITS`` codes (:func:`~flowqubo.solvers._batches`) and
+    completes each batch in one call (:func:`_completion_energies`), which
+    reads ``form.values`` and no row evaluator; the floats are the same,
+    since an integral form sums exactly in any order.  The survivors of the
+    second pass whose energy is at most the feasible optimum plus
+    ``_FEAS_TOL`` are checked against every row, and the infeasible ones
+    are dominance failures.  Ties for the argmin go to the lowest code, as
+    in a scan of one chunk.
     """
     n = reform.source.num_vars
     if n > _VAR_LIMIT:
@@ -672,8 +723,8 @@ def verify(reform: Reformulation) -> VerificationReport:
     feasible_opt = np.inf
     feasible_min_energy = np.inf
     exactness = []
-    for codes in _feasible_scan(scan.rows, n):
-        _, obj, energy = _completion_energies(scan, codes)
+    for codes, in _batches((codes,) for codes in _feasible_scan(scan.rows, n)):
+        obj, energy = _completion_energies(scan, codes)
         feasible_count += codes.size
         feasible_opt = min(feasible_opt, float(obj.min()))
         feasible_min_energy = min(feasible_min_energy, float(energy.min()))
@@ -686,19 +737,22 @@ def verify(reform: Reformulation) -> VerificationReport:
     best_k = 0
     dominance: list[tuple[float, int]] = []
     bound = threshold + energy_tol
-    for codes in _code_chunks(n, scan.chunks_within(bound)):
-        codes, _, energy = _completion_energies(scan, codes, bound)
-        if not codes.size:
-            continue
-        chunk_best = int(np.argmin(energy))
-        if float(energy[chunk_best]) < best_energy:
-            best_energy = float(energy[chunk_best])
-            best_k = int(codes[chunk_best])
+    keep, penalty = scan.chunks_within(bound)
+    survivors = (_row_energies(scan, codes, bound, {k: p[chunk] for k, p in penalty.items()})
+                 for chunk, codes in zip(np.flatnonzero(keep).tolist(), _code_chunks(n, keep)))
+    checks = [(row.form.values, row.sense, row.rhs) for row in scan.rows]
+    for codes, energy in _batches(survivors):
+        _, energy = _completion_energies(scan, codes, energy)
+        batch_best = int(np.argmin(energy))
+        if float(energy[batch_best]) < best_energy:
+            best_energy = float(energy[batch_best])
+            best_k = int(codes[batch_best])
         if feasible_count:
-            infeasible = ~np.isin(codes, _feasible_codes(scan.rows, codes))
-            flagged = infeasible & (energy <= feasible_opt + _FEAS_TOL)
-            dominance = sorted(dominance + list(zip(energy[flagged].tolist(),
-                                                    codes[flagged].tolist())))
+            near = energy <= feasible_opt + _FEAS_TOL
+            codes, energy = codes[near], energy[near]
+            infeasible = ~np.isin(codes, _feasible_codes(checks, codes))
+            dominance = sorted(dominance + list(zip(energy[infeasible].tolist(),
+                                                    codes[infeasible].tolist())))
             del dominance[_MAX_FAILURES:]
 
     full_bits = _complete_assignment(reform, scan, best_k)

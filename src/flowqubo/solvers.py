@@ -306,6 +306,24 @@ def _code_chunks(n: int, keep: np.ndarray | None = None):
         yield np.arange(start, start + step, dtype=np.int64)
 
 
+def _batches(parts):
+    """Join ``parts``, tuples of equally long arrays such as each chunk's
+    survivors and their values, into tuples of at least ``2^_CHUNK_BITS``
+    entries, in order, and yield what is left at the end; empty parts are
+    dropped.  A part holds at most one chunk, so a batch stays under
+    ``2^(_CHUNK_BITS+1)`` entries."""
+    pending, size = [], 0
+    for part in parts:
+        if len(part[0]):
+            pending.append(part)
+            size += len(part[0])
+        if size >= 1 << _CHUNK_BITS:
+            yield tuple(map(np.concatenate, zip(*pending)))
+            pending, size = [], 0
+    if pending:
+        yield tuple(map(np.concatenate, zip(*pending)))
+
+
 def _bit_rows(codes, n: int) -> np.ndarray:
     """The C-order int64 0/1 matrix of the assignments ``codes``, one row each.
 
@@ -439,7 +457,9 @@ def _feasible_codes(checks: Sequence, codes: np.ndarray) -> np.ndarray:
     """The codes among ``codes`` that satisfy every row, in their order.
 
     ``checks`` holds one ``(evaluate, sense, rhs, ...)`` per row, in checking
-    order, and ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS``.
+    order.  ``codes`` lie in one aligned chunk of ``2^_CHUNK_BITS`` when an
+    ``evaluate`` is a row evaluator; with ``LinearForm.values`` they may be
+    any codes, as in :func:`~flowqubo.reformulate.verify`'s dominance check.
     Each row is evaluated only on the codes that survived the rows before
     it, and drops the ones it rejects.  An integral row's evaluator reads
     its low bits from a table built for the call (:func:`_row_evaluator`);

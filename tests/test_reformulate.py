@@ -31,6 +31,7 @@ from flowqubo import (
 from flowqubo import solvers
 from flowqubo.reformulate import (
     _completion_energies,
+    _row_energies,
     _row_penalty,
     _row_slack,
     _ScanRow,
@@ -654,9 +655,13 @@ def chunked_programs(draw):
 @settings(max_examples=100, deadline=None)
 def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
     """The feasibility pass's scan of verify's rows yields exactly the
-    feasible codes, and every chunk holding a code that survives
-    ``_completion_energies`` at a bound passes the threshold pass's chunk
-    test at that bound, for bounds at and just below the codes' energies."""
+    feasible codes.  ``chunks_within`` returns a penalty per chunk for
+    exactly the product-free one-value rows, each bit for bit the penalty
+    of every code of the chunk.  Every chunk holding a code that survives
+    the threshold pass's filter at a bound, with every row evaluated per
+    code, passes the chunk test at that bound, and on a chunk that passes
+    it the filter keeps the same codes with the same energies given those
+    penalties; for bounds at and just below the codes' energies."""
     reform = reformulate(prog, rho=rho)
     n = prog.num_vars
     feasible = [k for k, bits in enumerate(itertools.product((0, 1), repeat=n))
@@ -665,16 +670,28 @@ def test_verify_chunk_skips_are_sound(prog, chunk_bits, rho):
         scan = _ScanTables(reform)
         assert [k for codes in solvers._feasible_scan(scan.rows, n)
                 for k in codes.tolist()] == feasible
+        one_value = [k for k, row in enumerate(scan.rows)
+                     if not row.pairs and solvers._one_value(row.form, n)]
         chunks = list(solvers._code_chunks(n))
-        energies = np.sort(np.concatenate(
-            [_completion_energies(scan, codes)[2] for codes in chunks]))
+        energies = np.sort(_completion_energies(scan, np.concatenate(chunks))[1])
         for energy in energies[[0, len(energies) // 8, len(energies) // 4, len(energies) // 2]]:
             for bound in (energy, np.nextafter(energy, -np.inf)):
-                within = scan.chunks_within(bound)
+                within, penalty = scan.chunks_within(bound)
                 assert within.shape == (1 << (n - chunk_bits),)
+                assert sorted(penalty) == one_value
                 for chunk, codes in enumerate(chunks):
-                    if _completion_energies(scan, codes, bound)[0].size:
+                    for k, chunk_penalty in penalty.items():
+                        row = scan.rows[k]
+                        assert (_row_penalty(row, row.evaluate(codes) - row.rhs)
+                                == chunk_penalty[chunk]).all()
+                    kept, kept_energy = _row_energies(scan, codes, bound, {})
+                    if kept.size:
                         assert within[chunk]
+                    if within[chunk]:
+                        fixed = _row_energies(scan, codes, bound,
+                                              {k: p[chunk] for k, p in penalty.items()})
+                        assert kept.tolist() == fixed[0].tolist()
+                        assert kept_energy.tolist() == fixed[1].tolist()
 
 
 def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, ds_reform, monkeypatch):
@@ -683,27 +700,27 @@ def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, ds_reform, monkey
     rows rule out the rest.  The bound is in codes, so it holds at any
     chunk size.  The feasibility pass reads a chunk through the oracle's
     scan, which hands it to ``_feasible_codes``, and the threshold pass
-    through ``_completion_energies`` with a finite bound; the other calls
-    of each get only a chunk's survivors."""
+    through its per-chunk filter ``_row_energies``, which gets nothing
+    but whole chunks; the other calls of the oracle's scan get only a
+    chunk's survivors."""
     module = importlib.import_module("flowqubo.reformulate")
     whole = 1 << solvers._CHUNK_BITS
     assert il_reform.source.num_vars == 24
     feasible_reads, threshold_reads = [], []
-    rows, energies = solvers._feasible_codes, module._completion_energies
+    rows, energies = solvers._feasible_codes, module._row_energies
 
     def reading_rows(checks, codes):
         if codes.size == whole:
             feasible_reads.append(codes.size)
         return rows(checks, codes)
 
-    def reading_energies(scan, codes, bound=np.inf):
-        if bound < np.inf:
-            assert codes.size == whole
-            threshold_reads.append(codes.size)
-        return energies(scan, codes, bound)
+    def reading_energies(scan, codes, bound, fixed):
+        assert codes.size == whole
+        threshold_reads.append(codes.size)
+        return energies(scan, codes, bound, fixed)
 
     monkeypatch.setattr(solvers, "_feasible_codes", reading_rows)
-    monkeypatch.setattr(module, "_completion_energies", reading_energies)
+    monkeypatch.setattr(module, "_row_energies", reading_energies)
     for reform, chunks in ((il_reform, 21), (ds_reform, 3)):
         assert reform.source.num_vars > solvers._CHUNK_BITS
         feasible_reads.clear()
@@ -711,6 +728,63 @@ def test_verify_reads_21_of_1024_il_chunks_per_pass(il_reform, ds_reform, monkey
         assert verify(reform).passed
         assert 0 < sum(feasible_reads) <= chunks << 14
         assert 0 < sum(threshold_reads) <= chunks << 14
+
+
+def test_verify_adds_one_value_penalties_per_chunk_and_completes_in_one_batch(
+        il_reform, monkeypatch):
+    """On il verify calls the evaluator of no one-value row: the oracle's
+    scan decides those rows per chunk in the feasibility pass, and the
+    threshold pass adds their penalties per chunk from ``chunks_within``.
+    Each pass gathers its survivors across chunks and completes them in one
+    call: the 252 feasible codes, then the 4,032 codes the threshold pass
+    keeps."""
+    module = importlib.import_module("flowqubo.reformulate")
+    n = il_reform.source.num_vars
+    make, complete = solvers._row_evaluator, module._completion_energies
+    one_value_reads, batches = [], []
+
+    def watching(form, n):
+        evaluate = make(form, n)
+        if not solvers._one_value(form, n):
+            return evaluate
+
+        def reading(codes):
+            one_value_reads.append(codes.size)
+            return evaluate(codes)
+        return reading
+
+    def completing(scan, codes, energy=None):
+        batches.append(codes.size)
+        return complete(scan, codes, energy)
+
+    monkeypatch.setattr(module, "_row_evaluator", watching)
+    monkeypatch.setattr(module, "_completion_energies", completing)
+    assert sum(solvers._one_value(row.form, n) for row in _ScanTables(il_reform).rows) == 7
+    report = verify(il_reform)
+    assert report.passed and report.feasible_count == 252
+    assert batches == [252, 4032]
+    assert one_value_reads == []
+
+
+def test_verify_brackets_il_least_weight(il_program):
+    """Below il's least certified weight (17.1) the threshold pass keeps
+    chunks whose one-value rows have a nonzero penalty, and adds it per
+    chunk: at 16 verify finds 4 infeasible codes at or below the feasible
+    optimum 26, the QUBO minimum at 25; at 18 it passes."""
+    weak = reformulate(il_program, rho=16.0)
+    within, penalty = _ScanTables(weak).chunks_within(26.0 + 1e-6)
+    assert any((p[within] > 0.0).any() for p in penalty.values())
+    report = verify(weak)
+    assert not report.passed and not report.exactness_failures
+    assert report.feasible_count == 252 and report.feasible_optimum == 26.0
+    assert report.qubo_minimum == 25.0 and not report.argmin_feasible
+    assert weak.qubo.energy(report.qubo_argmin) == 25.0
+    assert len(report.dominance_failures) == 4
+    for bits, energy in report.dominance_failures:
+        assert not il_program.is_feasible(bits) and energy <= 26.0
+    strong = verify(reformulate(il_program, rho=18.0))
+    assert strong.passed and strong.feasible_count == 252
+    assert strong.qubo_minimum == strong.feasible_optimum == 26.0
 
 
 @st.composite
@@ -787,14 +861,16 @@ _SIX = tuple(f"x{i}" for i in range(6))
 def test_one_value_rows_match_the_dense_references(case):
     """With rows that read only a chunk's high bits, the oracle matches the
     float matrix reference, verify gives the report of a scan of one chunk
-    field for field, and the scan of verify's feasibility pass yields
+    field for field, at the default weight and at 0.5, and the scan of verify's feasibility pass yields
     exactly the feasible codes.  With integer coefficients that report is
     the dense reference's; in tenths the two sum energies in different
     orders, so only their feasible counts are compared."""
     prog, chunk_bits = case
     n = prog.num_vars
     reform = reformulate(prog)
+    weak = reformulate(prog, rho=0.5)
     one_chunk = verify(reform)
+    weak_one_chunk = verify(weak)
     reference = _reference_verify(reform)
     if all(float(c).is_integer() for con in prog.constraints for c in con.linear.values()):
         assert one_chunk == reference
@@ -805,6 +881,7 @@ def test_one_value_rows_match_the_dense_references(case):
         assert any(solvers._one_value(lhs, n) for lhs, *_ in solvers._program_tables(prog).rows)
         found = _assert_matches_float_matrix_reference(prog)
         assert verify(reform) == one_chunk
+        assert verify(weak) == weak_one_chunk
         scanned = solvers._feasible_scan(_ScanTables(reform).rows, n)
         assert [k for codes in scanned for k in codes.tolist()] == feasible
     assert (found.status == "infeasible") == (not feasible)
